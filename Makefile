@@ -19,14 +19,16 @@ vet:
 
 # The concurrency-heavy packages — observability, the service layer, the
 # tree-distance cache, fingerprinting, the worker pool, the parallel
-# pipeline stages and the pooled parse/render/apply fast path — run under
-# the race detector, plus the end-to-end differential tests that pin the
-# cached/parallel and pooled-arena outputs to their reference paths.
+# pipeline stages and the pooled parse/prune/render/apply fast path — run
+# under the race detector, plus the end-to-end differential tests that pin
+# the cached/parallel, pooled-arena and compiled outputs to their
+# reference paths.
 race:
 	$(GO) test -race ./internal/obs ./internal/quality ./internal/relearn \
 		./internal/serve \
 		./internal/editdist ./internal/dom ./internal/par ./internal/cluster \
-		./internal/core ./internal/htmlparse ./internal/layout ./internal/wrapper
+		./internal/core ./internal/htmlparse ./internal/layout ./internal/wrapper \
+		./internal/prune
 	$(GO) test -race -run 'TestDifferential' .
 
 # drift replays the synthetic drift schedule through the full HTTP stack:

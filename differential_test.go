@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"testing"
 
+	"mse/internal/cluster"
 	"mse/internal/core"
-	"mse/internal/dom"
 	"mse/internal/editdist"
+	"mse/internal/htmlparse"
+	"mse/internal/layout"
 	"mse/internal/synth"
 	"mse/internal/wrapper"
 )
@@ -123,16 +126,15 @@ func truncate(b []byte) string {
 }
 
 // TestDifferentialArenas is the soundness check for the zero-allocation
-// fast path: for every engine of a small synthetic test bed, the pipeline
-// run with pooled parse arenas, render scratches and apply scratches (the
-// default) must produce byte-identical wrappers and extractions to the
-// plain-allocator path restored by dom.SetArenasEnabled(false).  Interning
-// bugs, arena aliasing, stale pooled state or a divergence in the
-// byte-oriented text normalization all show up as a diff here.
+// fast path: for every engine of a small synthetic test bed, the wrapper
+// BuildWrapper induces over pooled parse arenas and render scratches must
+// serialize byte-identically to the reference wrapper built from the
+// unpooled core.AnalyzePages through steps 7-9, and the pooled extraction
+// (arenas, pooled render, pooled apply scratch) must match the reference
+// extraction over an unpooled parse and render.  Interning bugs, arena
+// aliasing, stale pooled state or a divergence in the byte-oriented text
+// normalization all show up as a diff here.
 func TestDifferentialArenas(t *testing.T) {
-	was := dom.ArenasEnabled()
-	defer dom.SetArenasEnabled(was)
-
 	bed := synth.GenerateTestbed(synth.Config{Seed: 2006, Engines: 8, MultiSection: 4, Queries: 10})
 	for ei, e := range bed {
 		var samples []*core.SamplePage
@@ -140,45 +142,85 @@ func TestDifferentialArenas(t *testing.T) {
 			gp := e.Page(q)
 			samples = append(samples, &core.SamplePage{HTML: gp.HTML, Query: gp.Query})
 		}
-		run := func(arenas bool) (wrapperJSON []byte, extractions [][]byte) {
-			dom.SetArenasEnabled(arenas)
-			ew, err := core.BuildWrapper(samples, core.DefaultOptions())
-			if err != nil {
-				t.Fatalf("engine %d (arenas=%v): %v", ei, arenas, err)
-			}
-			wj, err := json.Marshal(ew)
-			if err != nil {
-				t.Fatalf("engine %d: marshal wrapper: %v", ei, err)
-			}
-			for q := 5; q < 10; q++ {
-				gp := e.Page(q)
-				sj, err := json.Marshal(ew.Extract(gp.HTML, gp.Query))
-				if err != nil {
-					t.Fatalf("engine %d page %d: marshal sections: %v", ei, q, err)
-				}
-				extractions = append(extractions, sj)
-			}
-			return wj, extractions
+		ref := referenceWrapper(t, samples, core.DefaultOptions())
+		refWrapper, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatalf("engine %d: marshal reference wrapper: %v", ei, err)
 		}
-
-		refWrapper, refPages := run(false) // plain-allocator reference
+		var refPages [][]byte
+		for q := 5; q < 10; q++ {
+			gp := e.Page(q)
+			refPages = append(refPages, referenceExtract(t, ref, gp.HTML, gp.Query))
+		}
 		// Two pooled runs back to back: the second reuses arenas and
 		// scratches recycled by the first, so stale pooled state cannot
 		// hide behind a cold pool.
 		for round := 0; round < 2; round++ {
-			gotWrapper, gotPages := run(true)
+			ew, err := core.BuildWrapper(samples, core.DefaultOptions())
+			if err != nil {
+				t.Fatalf("engine %d round %d: %v", ei, round, err)
+			}
+			gotWrapper, err := json.Marshal(ew)
+			if err != nil {
+				t.Fatalf("engine %d: marshal wrapper: %v", ei, err)
+			}
 			if !bytes.Equal(gotWrapper, refWrapper) {
 				t.Errorf("engine %d round %d: pooled wrapper differs from reference\nref: %s\ngot: %s",
 					ei, round, truncate(refWrapper), truncate(gotWrapper))
 			}
-			for pi := range refPages {
-				if !bytes.Equal(gotPages[pi], refPages[pi]) {
+			for pi, ref := range refPages {
+				gp := e.Page(5 + pi)
+				got, err := json.Marshal(ew.Extract(gp.HTML, gp.Query))
+				if err != nil {
+					t.Fatalf("engine %d page %d: marshal sections: %v", ei, 5+pi, err)
+				}
+				if !bytes.Equal(got, ref) {
 					t.Errorf("engine %d page %d round %d: pooled extraction differs from reference\nref: %s\ngot: %s",
-						ei, pi, round, truncate(refPages[pi]), truncate(gotPages[pi]))
+						ei, 5+pi, round, truncate(ref), truncate(got))
 				}
 			}
 		}
 	}
+}
+
+// referenceWrapper runs steps 1-6 through the unpooled core.AnalyzePages
+// and steps 7-9 exactly as BuildWrapper does: the non-pooled reference
+// build.
+func referenceWrapper(t *testing.T, samples []*core.SamplePage, opt core.Options) *core.EngineWrapper {
+	t.Helper()
+	pages, err := core.AnalyzePages(samples, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := cluster.GroupInstances(pages, opt.Cluster)
+	avgStart := func(g *cluster.Group) float64 {
+		sum := 0
+		for _, inst := range g.Instances {
+			sum += inst.Section.Start
+		}
+		return float64(sum) / float64(len(g.Instances))
+	}
+	sort.SliceStable(groups, func(i, j int) bool { return avgStart(groups[i]) < avgStart(groups[j]) })
+	var ws []*wrapper.SectionWrapper
+	for order, g := range groups {
+		ws = append(ws, wrapper.Build(g, pages, order, opt.Wrapper))
+	}
+	ws, fams := wrapper.BuildFamilies(ws, opt.Wrapper)
+	ew := &core.EngineWrapper{Wrappers: ws, Families: fams}
+	ew.SetOptions(opt)
+	return ew
+}
+
+// referenceExtract is the interpreted reference extraction: an unpooled
+// parse and full render, then every wrapper and family locating its own
+// candidates.
+func referenceExtract(t *testing.T, ew *core.EngineWrapper, html string, query []string) []byte {
+	t.Helper()
+	b, err := json.Marshal(ew.ExtractFromPage(layout.Render(htmlparse.Parse(html)), query))
+	if err != nil {
+		t.Fatalf("marshal reference sections: %v", err)
+	}
+	return b
 }
 
 // TestDifferentialLeasedExtraction checks the serving-path lease contract:
@@ -223,20 +265,17 @@ func TestDifferentialLeasedExtraction(t *testing.T) {
 }
 
 // TestDifferentialCompiledWrappers is the soundness check for the compiled
-// extraction fast path (wrapper compilation + query-aware DOM pruning):
-// across the full paper-scale synthetic testbed — 119 engines, 38
-// multi-section — every extraction through the compiled path (prune pass,
-// pruned render with skeleton lines and early stop, interned-signature
-// partitioning, precompiled boundary markers) must be byte-identical to
-// the interpreted legacy path restored by wrapper.SetCompiledEnabled(false).
-// Drifted variants of every engine run too, so the fallback machinery
-// (signature descend, tag-level classification, cohesion mining on
-// skeleton-free ranges) is differential-tested, not just the happy path.
-// Compilation must also leave the wrapper's serialized form untouched.
+// extraction path (wrapper compilation + query-aware DOM pruning): across
+// the full paper-scale synthetic testbed — 119 engines, 38 multi-section —
+// every extraction through ew.Extract (prune pass, pruned render with
+// skeleton lines and early stop, interned-signature partitioning,
+// precompiled boundary markers) must be byte-identical to the interpreted
+// reference, ExtractFromPage over an unpooled, unpruned render.  Drifted
+// variants of every engine run too, so the fallback machinery (signature
+// descend, tag-level classification, cohesion mining on skeleton-free
+// ranges) is differential-tested, not just the happy path.  Compilation
+// must also leave the wrapper's serialized form untouched.
 func TestDifferentialCompiledWrappers(t *testing.T) {
-	was := wrapper.CompiledEnabled()
-	defer wrapper.SetCompiledEnabled(was)
-
 	bed := synth.GenerateTestbed(synth.DefaultConfig())
 	if testing.Short() {
 		bed = bed[:12]
@@ -256,13 +295,8 @@ func TestDifferentialCompiledWrappers(t *testing.T) {
 			t.Fatalf("engine %d: marshal wrapper: %v", ei, err)
 		}
 		drifted := e.Drifted()
-		extractBoth := func(html string, query []string, what string, q int) {
-			wrapper.SetCompiledEnabled(false)
-			ref, err := json.Marshal(ew.Extract(html, query))
-			if err != nil {
-				t.Fatalf("engine %d %s page %d: marshal ref: %v", ei, what, q, err)
-			}
-			wrapper.SetCompiledEnabled(true)
+		compare := func(html string, query []string, what string, q int) {
+			ref := referenceExtract(t, ew, html, query)
 			got, err := json.Marshal(ew.Extract(html, query))
 			if err != nil {
 				t.Fatalf("engine %d %s page %d: marshal compiled: %v", ei, what, q, err)
@@ -274,9 +308,9 @@ func TestDifferentialCompiledWrappers(t *testing.T) {
 		}
 		for q := 5; q < 10; q++ {
 			gp := e.Page(q)
-			extractBoth(gp.HTML, gp.Query, "fresh", q)
+			compare(gp.HTML, gp.Query, "fresh", q)
 			dp := drifted.Page(q)
-			extractBoth(dp.HTML, dp.Query, "drifted", q)
+			compare(dp.HTML, dp.Query, "drifted", q)
 		}
 		wjAfter, err := json.Marshal(ew)
 		if err != nil {

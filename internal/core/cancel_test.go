@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"sync"
@@ -9,7 +11,10 @@ import (
 	"time"
 
 	"mse/internal/dom"
+	"mse/internal/htmlparse"
 	"mse/internal/layout"
+	"mse/internal/obs"
+	"mse/internal/prune"
 	"mse/internal/synth"
 )
 
@@ -52,12 +57,14 @@ func heavySamples(t *testing.T) ([]*SamplePage, time.Duration) {
 type poolBalance struct {
 	arenaAcq, arenaRel     uint64
 	scratchAcq, scratchRel uint64
+	pruneAcq, pruneRel     uint64
 }
 
 func poolCounters() poolBalance {
 	a := dom.ArenaStatsSnapshot()
 	s := layout.ScratchStatsSnapshot()
-	return poolBalance{a.Acquires, a.Releases, s.Acquires, s.Releases}
+	p := prune.StatsSnapshot()
+	return poolBalance{a.Acquires, a.Releases, s.Acquires, s.Releases, p.Acquires, p.Releases}
 }
 
 // assertPoolsBalanced checks that everything acquired since before went
@@ -70,6 +77,9 @@ func assertPoolsBalanced(t *testing.T, before poolBalance) {
 	}
 	if acq, rel := after.scratchAcq-before.scratchAcq, after.scratchRel-before.scratchRel; acq != rel {
 		t.Fatalf("render scratch leak: %d acquired, %d released", acq, rel)
+	}
+	if acq, rel := after.pruneAcq-before.pruneAcq, after.pruneRel-before.pruneRel; acq != rel {
+		t.Fatalf("prune matcher leak: %d acquired, %d released", acq, rel)
 	}
 }
 
@@ -172,9 +182,17 @@ func TestBuildWrapperCtxPreCanceled(t *testing.T) {
 	assertPoolsBalanced(t, pools)
 }
 
-// TestExtractCtxCancelMidRun cancels during extraction of a pathological
-// page and requires a prompt ErrCanceled with every pooled resource back.
-func TestExtractCtxCancelMidRun(t *testing.T) {
+// extractCtx is ExtractLeasedCtx releasing the lease on return.
+func extractCtx(ctx context.Context, ew *EngineWrapper, html string, query []string) ([]*Section, error) {
+	sections, lease, err := ew.ExtractLeasedCtx(ctx, html, query, nil)
+	lease.Release()
+	return sections, err
+}
+
+// TestExtractLeasedCtxCancelMidRun cancels during extraction of a
+// pathological page and requires a prompt ErrCanceled with every pooled
+// resource back.
+func TestExtractLeasedCtxCancelMidRun(t *testing.T) {
 	// A modest training set is enough; the pathological page is the input
 	// being extracted.
 	e := synth.NewEngine(60, 3, true)
@@ -197,7 +215,7 @@ func TestExtractCtxCancelMidRun(t *testing.T) {
 	big := bigEngine.Page(9)
 
 	uncanceled := time.Now()
-	if _, err := ew.ExtractCtx(context.Background(), big.HTML, big.Query); err != nil {
+	if _, err := extractCtx(context.Background(), ew, big.HTML, big.Query); err != nil {
 		t.Fatal(err)
 	}
 	extractTime := time.Since(uncanceled)
@@ -215,7 +233,7 @@ func TestExtractCtxCancelMidRun(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		s, err := ew.ExtractCtx(ctx, big.HTML, big.Query)
+		s, err := extractCtx(ctx, ew, big.HTML, big.Query)
 		done <- result{s, err}
 	}()
 	time.Sleep(extractTime / 3)
@@ -225,7 +243,7 @@ func TestExtractCtxCancelMidRun(t *testing.T) {
 	select {
 	case res = <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("ExtractCtx did not return within 5s of cancellation")
+		t.Fatal("ExtractLeasedCtx did not return within 5s of cancellation")
 	}
 	latency := time.Since(canceledAt)
 
@@ -250,8 +268,9 @@ func TestExtractCtxCancelMidRun(t *testing.T) {
 }
 
 // TestExtractLeasedCtxPreCanceled: a dead context yields (nil, nil,
-// ErrCanceled) and leaves the pools balanced — the lease is never handed
-// out.
+// ErrCanceled) and leaves the pools balanced — every resource acquired
+// before the abort (parse arena, render scratch, prune matcher) is back
+// and the lease is never handed out.
 func TestExtractLeasedCtxPreCanceled(t *testing.T) {
 	e := synth.NewEngine(30, 2, true)
 	var samples []*SamplePage
@@ -267,7 +286,7 @@ func TestExtractLeasedCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	gp := e.Page(7)
-	sections, lease, err := ew.ExtractLeasedCtx(ctx, gp.HTML, gp.Query)
+	sections, lease, err := ew.ExtractLeasedCtx(ctx, gp.HTML, gp.Query, nil)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -277,9 +296,46 @@ func TestExtractLeasedCtxPreCanceled(t *testing.T) {
 	assertPoolsBalanced(t, pools)
 }
 
-// TestExtractCtxBackgroundMatchesExtract: with a non-cancellable context
-// the ctx variants are exactly the plain entry points.
-func TestExtractCtxBackgroundMatchesExtract(t *testing.T) {
+// TestExtractLeasedCtxPreCanceledBothPaths holds ExtractLeasedCtx to the
+// pre-canceled contract on both ways callers enter it: untraced (a nil
+// root, as library callers pass) and traced (a per-request span root, as
+// the service passes).  Either way a dead context yields (nil, nil,
+// ErrCanceled) and every pooled resource acquired before the abort —
+// parse arena, render scratch, prune matcher — is back in its pool.
+func TestExtractLeasedCtxPreCanceledBothPaths(t *testing.T) {
+	e := synth.NewEngine(30, 2, true)
+	var samples []*SamplePage
+	for q := 0; q < 3; q++ {
+		gp := e.Page(q)
+		samples = append(samples, &SamplePage{HTML: gp.HTML, Query: gp.Query})
+	}
+	ew, err := BuildWrapper(samples, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp := e.Page(7)
+	for _, traced := range []bool{false, true} {
+		var root *obs.Span
+		if traced {
+			root = obs.NewSpan(obs.RootExtract)
+		}
+		pools := poolCounters()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		sections, lease, err := ew.ExtractLeasedCtx(ctx, gp.HTML, gp.Query, root)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("traced=%v: err = %v, want ErrCanceled", traced, err)
+		}
+		if sections != nil || lease != nil {
+			t.Fatalf("traced=%v: got sections=%v lease=%v, want nil/nil", traced, sections, lease)
+		}
+		assertPoolsBalanced(t, pools)
+	}
+}
+
+// TestExtractLeasedCtxBackgroundMatchesExtract: with a non-cancellable
+// context ExtractLeasedCtx is exactly the plain entry point.
+func TestExtractLeasedCtxBackgroundMatchesExtract(t *testing.T) {
 	e := synth.NewEngine(25, 2, true)
 	var samples []*SamplePage
 	for q := 0; q < 3; q++ {
@@ -291,12 +347,42 @@ func TestExtractCtxBackgroundMatchesExtract(t *testing.T) {
 		t.Fatal(err)
 	}
 	gp := e.Page(5)
-	got, err := ew.ExtractCtx(context.Background(), gp.HTML, gp.Query)
+	got, err := extractCtx(context.Background(), ew, gp.HTML, gp.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ew.Extract(gp.HTML, gp.Query)
-	if len(got) != len(want) {
-		t.Fatalf("ctx extraction found %d sections, plain found %d", len(got), len(want))
+	gj, _ := json.Marshal(got)
+	wj, _ := json.Marshal(ew.Extract(gp.HTML, gp.Query))
+	if !bytes.Equal(gj, wj) {
+		t.Fatalf("ctx extraction differs from plain\nctx:   %s\nplain: %s", gj, wj)
+	}
+}
+
+// TestExtractCompiledMatchesInterpretedWithCancelToken runs a live (never
+// canceled) token through ExtractLeasedCtx and compares the extraction
+// with the interpreted reference: the cancellation plumbing must not
+// perturb output.
+func TestExtractCompiledMatchesInterpretedWithCancelToken(t *testing.T) {
+	e := synth.NewEngine(30, 4, true)
+	var samples []*SamplePage
+	for q := 0; q < 5; q++ {
+		gp := e.Page(q)
+		samples = append(samples, &SamplePage{HTML: gp.HTML, Query: gp.Query})
+	}
+	ew, err := BuildWrapper(samples, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp := e.Page(8)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := extractCtx(ctx, ew, gp.HTML, gp.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gj, _ := json.Marshal(got)
+	rj, _ := json.Marshal(ew.ExtractFromPage(layout.Render(htmlparse.Parse(gp.HTML)), gp.Query))
+	if !bytes.Equal(gj, rj) {
+		t.Fatalf("extractions differ under a live cancel token\nref: %s\ngot: %s", rj, gj)
 	}
 }

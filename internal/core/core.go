@@ -15,7 +15,10 @@
 package core
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -73,10 +76,9 @@ type Options struct {
 	// reduces to nil-receiver checks and costs nothing.
 	Obs *obs.Tracer
 
-	// cancel is the cooperative-cancellation token threaded through the
-	// pipeline by the ctx-accepting entry points (BuildWrapperCtx,
-	// ExtractCtx, ExtractLeasedCtx).  Always nil on the plain entry
-	// points, so they keep their historical never-fails behaviour.
+	// cancel is the cooperative-cancellation token BuildWrapperCtx threads
+	// through the pipeline.  Always nil on the plain entry points, so they
+	// keep their historical never-fails behaviour.
 	cancel *cancel.Token
 }
 
@@ -143,6 +145,40 @@ func (ew *EngineWrapper) Compile() {
 		}
 	}
 	ew.compiled.Store(ce)
+}
+
+// NullEntryError reports a null entry in the "wrappers" or "families" list
+// of a serialized EngineWrapper.  Every decode site (wrapper files,
+// snapshots, mse.LoadWrapper) goes through EngineWrapper.UnmarshalJSON,
+// so a corrupt file is rejected at load time instead of crashing the first
+// extraction.
+type NullEntryError struct {
+	List  string // "wrappers" or "families"
+	Index int
+}
+
+func (e *NullEntryError) Error() string {
+	return fmt.Sprintf("core: wrapper JSON: %s[%d] is null", e.List, e.Index)
+}
+
+// UnmarshalJSON decodes a wrapper serialized by json.Marshal, rejecting
+// null wrapper and family entries with a *NullEntryError.
+func (ew *EngineWrapper) UnmarshalJSON(data []byte) error {
+	type plain EngineWrapper // same fields, without this method
+	if err := json.Unmarshal(data, (*plain)(ew)); err != nil {
+		return err
+	}
+	for i, w := range ew.Wrappers {
+		if w == nil {
+			return &NullEntryError{List: "wrappers", Index: i}
+		}
+	}
+	for i, f := range ew.Families {
+		if f == nil {
+			return &NullEntryError{List: "families", Index: i}
+		}
+	}
+	return nil
 }
 
 // compiledEngine returns the cached compiled form, building it on first
@@ -254,11 +290,13 @@ func AnalyzePages(samples []*SamplePage, opt Options) ([]*cluster.PageSections, 
 
 // analyzePages is AnalyzePages recording its step spans under parent
 // (nil for none).  Step spans accumulate across the per-page loops, so
-// each step yields exactly one span regardless of sample count; under
-// parallelism the accumulated step durations sum worker time, not wall
-// time.  The per-page stages (1-2 and 4-6) fan out over a worker pool —
-// pages are independent there — while DSE (step 3) is inherently
-// cross-page and stays serial.
+// each step yields exactly one span regardless of sample count.  The
+// per-page steps (1-2 and 4-6) each fan out over a worker pool — pages are
+// independent there — while DSE (step 3) is inherently cross-page and
+// stays serial.  Every step finishes on all pages before the next starts,
+// so the step spans cover disjoint stretches of wall time: each span's
+// duration is the step's wall time and its busy time the summed worker
+// time, and the step durations add up to no more than the parent's.
 func analyzePages(samples []*SamplePage, opt Options, parent *obs.Span, pooled bool) ([]*cluster.PageSections, []*PageLease, error) {
 	workers := par.Workers(opt.Parallelism)
 	renderSp := parent.Child(obs.StepRender)
@@ -296,13 +334,16 @@ func analyzePages(samples []*SamplePage, opt Options, parent *obs.Span, pooled b
 			page = layout.RenderPooledCancel(doc, opt.cancel)
 			leases[i].page = page
 		} else {
-			page = layout.RenderCancel(htmlparse.Parse(sp.HTML), opt.cancel) // step 1
+			page = layout.Render(htmlparse.Parse(sp.HTML)) // step 1
 		}
 		renderSp.AddSince(t0)
-		t0 = mreSp.Begin()
-		mrs := mre.Extract(page, opt.MRE) // step 2
+		inputs[i] = &dse.PageInput{Page: page, Query: sp.Query}
+	})
+	par.ForEachIndex(len(inputs), workers, func(i int) {
+		opt.cancel.Check()
+		t0 := mreSp.Begin()
+		inputs[i].MRs = mre.Extract(inputs[i].Page, opt.MRE) // step 2
 		mreSp.AddSince(t0)
-		inputs[i] = &dse.PageInput{Page: page, Query: sp.Query, MRs: mrs}
 	})
 	dseSp := parent.Child(obs.StepDSE)
 	t0 := dseSp.Begin()
@@ -312,33 +353,41 @@ func analyzePages(samples []*SamplePage, opt Options, parent *obs.Span, pooled b
 	refineSp := parent.Child(obs.StepRefine)
 	miningSp := parent.Child(obs.StepMining)
 	granSp := parent.Child(obs.StepGranularity)
-	out := make([]*cluster.PageSections, len(samples))
+	sections := dss
+	if !opt.DisableRefine {
+		// Without refinement (an ablation) the DSs are taken as sections
+		// and all of them mined.
+		sections = make([][]*sect.Section, len(inputs))
+		par.ForEachIndex(len(inputs), workers, func(i int) {
+			opt.cancel.Check()
+			in := inputs[i]
+			t0 := refineSp.Begin()
+			sections[i] = refine.Refine(in.Page, in.MRs, dss[i], marks[i], opt.Refine) // step 4
+			refineSp.AddSince(t0)
+		})
+	}
 	par.ForEachIndex(len(inputs), workers, func(i int) {
 		opt.cancel.Check()
-		in := inputs[i]
-		var sections []*sect.Section
-		if opt.DisableRefine {
-			// Ablation: take DSs as sections and mine all of them.
-			sections = dss[i]
-		} else {
-			t0 := refineSp.Begin()
-			sections = refine.Refine(in.Page, in.MRs, dss[i], marks[i], opt.Refine) // step 4
-			refineSp.AddSince(t0)
-		}
 		t0 := miningSp.Begin()
-		for _, s := range sections { // step 5
+		for _, s := range sections[i] { // step 5
 			if len(s.Records) == 0 {
 				mining.Mine(s, opt.Mining)
 			}
 		}
 		miningSp.AddSince(t0)
-		if !opt.DisableGranularity {
-			t0 = granSp.Begin()
-			sections = granularity.Resolve(in.Page, sections, opt.Granularity) // step 6
-			granSp.AddSince(t0)
-		}
-		out[i] = &cluster.PageSections{Page: in.Page, Query: in.Query, Sections: sections}
 	})
+	if !opt.DisableGranularity {
+		par.ForEachIndex(len(inputs), workers, func(i int) {
+			opt.cancel.Check()
+			t0 := granSp.Begin()
+			sections[i] = granularity.Resolve(inputs[i].Page, sections[i], opt.Granularity) // step 6
+			granSp.AddSince(t0)
+		})
+	}
+	out := make([]*cluster.PageSections, len(samples))
+	for i, in := range inputs {
+		out[i] = &cluster.PageSections{Page: in.Page, Query: in.Query, Sections: sections[i]}
+	}
 	// Counters sum after the fan-out, in page order, so the totals are
 	// deterministic regardless of worker scheduling.
 	sectionCount, recordCount := int64(0), int64(0)
@@ -426,48 +475,62 @@ func (l *PageLease) Release() {
 	}
 }
 
-// ExtractLeased is Extract on the pooled fast path: the DOM comes from a
-// pooled parse arena and the page from a pooled render scratch.  The
-// returned sections are ordinary heap values; the lease must be released
-// (exactly once, after the response derived from the sections and page is
-// complete) to recycle the per-request memory.
+// ExtractLeased is Extract handing the caller the lease behind the
+// extraction: the DOM comes from a pooled parse arena and the page from a
+// pooled render scratch.  The returned sections are ordinary heap values;
+// the lease must be released (exactly once, after the response derived
+// from the sections and page is complete) to recycle the per-request
+// memory.
 func (ew *EngineWrapper) ExtractLeased(html string, query []string) ([]*Section, *PageLease) {
 	root := ew.opt.Obs.Start(obs.RootExtract)
 	defer root.End()
-	lease := &PageLease{}
-	sections := ew.extractLeasedInto(lease, html, query, nil, root, ew.opt.Wrapper)
+	// A context that can never be canceled makes the error always nil.
+	sections, lease, _ := ew.ExtractLeasedCtx(context.Background(), html, query, root)
 	return sections, lease
 }
 
-// extractLeasedInto parses, renders and extracts html into the caller's
-// lease, choosing between the compiled fast path (prune + pruned render +
-// compiled wrappers) and the interpreted legacy path.  The lease's fields
-// are populated as resources are acquired, so a caller with a deferred
-// lease.Release covers every partial state when the walk panics
-// (cancellation); callers without recovery keep ExtractLeased's historical
-// propagate-the-panic behaviour.
-func (ew *EngineWrapper) extractLeasedInto(lease *PageLease, html string, query []string, tok *cancel.Token, root *obs.Span, wopt wrapper.Options) []*Section {
-	if wrapper.CompiledEnabled() {
-		return ew.extractCompiled(lease, html, query, tok, root, wopt)
-	}
-	renderSp := root.Child(obs.StepRender)
-	t0 := renderSp.Begin()
-	doc, arena := htmlparse.ParsePooled(html)
-	lease.arena = arena
-	lease.page = layout.RenderPooledCancel(doc, tok)
-	renderSp.AddSince(t0)
-	return ew.extractFromPage(lease.page, query, root, wopt)
-}
-
-// extractCompiled is the compiled extraction hot path: one pruning DFS
-// locates every wrapper's candidate subtrees and marks them on the DOM,
-// the render materializes full lines only where extraction can read them
-// (skeletons elsewhere, early stop after the last candidate region), and
-// the compiled wrappers consume the pre-located candidates instead of
-// re-walking the tree.  Output is byte-identical to the interpreted path
-// (differential-tested across the synthetic testbed).
-func (ew *EngineWrapper) extractCompiled(lease *PageLease, html string, query []string, tok *cancel.Token, root *obs.Span, wopt wrapper.Options) []*Section {
+// ExtractLeasedCtx is the extraction path every entry point shares.  One
+// pruning DFS locates every wrapper's candidate subtrees and marks them on
+// the DOM, the render materializes full lines only where extraction can
+// read them (skeletons elsewhere, early stop after the last candidate
+// region), and the compiled wrappers consume the pre-located candidates
+// instead of re-walking the tree.  Output is byte-identical to
+// ExtractFromPage over an unpooled, unpruned render (differential-tested).
+//
+// ctx is polled at the render, prune and apply checkpoints; once it is
+// done the call returns an error satisfying errors.Is(err, ErrCanceled)
+// and a nil lease.  Every pooled resource acquired for the call is
+// released before a cancellation returns or any other panic propagates.
+// On success the caller owns the lease exactly as with ExtractLeased.
+//
+// The per-stage spans — render, prune, wrapper_build, families, plus the
+// sections/records counters — are recorded under root.  Services pass a
+// fresh obs.NewSpan per request to obtain stage timings for that one
+// extraction without the Tracer's accumulate-forever semantics; a nil root
+// disables tracing.
+func (ew *EngineWrapper) ExtractLeasedCtx(ctx context.Context, html string, query []string, root *obs.Span) (sections []*Section, lease *PageLease, err error) {
+	tok := cancel.FromContext(ctx)
+	// The lease exists before any pooled acquisition so that the deferred
+	// release below covers every partial state: arena acquired but render
+	// panicked (page still nil — the pooled render recycles its own
+	// scratch on the way out), or both acquired but Apply panicked.
+	lease = &PageLease{}
+	defer func() {
+		if r := recover(); r != nil {
+			lease.Release()
+			lease = nil
+			sections = nil
+			if cancel.IsSignal(r) {
+				err = canceledErr(ctx)
+				return
+			}
+			panic(r)
+		}
+	}()
 	ce := ew.compiledEngine()
+	wopt := ew.opt.Wrapper
+	wopt.Cancel = tok
+
 	renderSp := root.Child(obs.StepRender)
 	t0 := renderSp.Begin()
 	doc, arena := htmlparse.ParsePooled(html)
@@ -501,37 +564,33 @@ func (ew *EngineWrapper) extractCompiled(lease *PageLease, html string, query []
 		all = append(all, cf.ApplyCands(page, res.Cands(len(ce.ws)+i), wopt)...)
 	}
 	famSp.AddSince(t0)
-	return finishSections(all, root)
+	return finishSections(all, root), lease, nil
 }
 
-// ExtractFromPage is Extract for an already rendered page.
+// ExtractFromPage applies every wrapper and family to an already rendered
+// page through the interpreted wrappers: each one locates its own
+// candidates on the full, unpruned page.  It is the reference the
+// compiled path of ExtractLeasedCtx is differential-tested against, not a
+// serving path.
 func (ew *EngineWrapper) ExtractFromPage(page *layout.Page, query []string) []*Section {
 	root := ew.opt.Obs.Start(obs.RootExtract)
 	defer root.End()
-	return ew.extractFromPage(page, query, root, ew.opt.Wrapper)
-}
-
-// extractFromPage applies every wrapper and family to the page.  opt is
-// passed explicitly (rather than read from ew) so the ctx entry points can
-// install a per-call cancellation token without mutating the shared
-// EngineWrapper.
-func (ew *EngineWrapper) extractFromPage(page *layout.Page, query []string, span *obs.Span, opt wrapper.Options) []*Section {
 	var all []*Section
-	wrapSp := span.Child(obs.StepWrapper)
+	wrapSp := root.Child(obs.StepWrapper)
 	t0 := wrapSp.Begin()
 	for _, w := range ew.Wrappers {
-		if s := w.Apply(page, query, opt); s != nil {
+		if s := w.Apply(page, query, ew.opt.Wrapper); s != nil {
 			all = append(all, s)
 		}
 	}
 	wrapSp.AddSince(t0)
-	famSp := span.Child(obs.StepFamilies)
+	famSp := root.Child(obs.StepFamilies)
 	t0 = famSp.Begin()
 	for _, f := range ew.Families {
-		all = append(all, f.Apply(page, query, opt)...)
+		all = append(all, f.Apply(page, query, ew.opt.Wrapper)...)
 	}
 	famSp.AddSince(t0)
-	return finishSections(all, span)
+	return finishSections(all, root)
 }
 
 // finishSections orders and deduplicates the raw per-wrapper extractions —

@@ -6,11 +6,10 @@ import (
 	"fmt"
 
 	"mse/internal/cancel"
-	"mse/internal/obs"
 )
 
 // ErrCanceled is returned (wrapped, carrying the context's own error) by
-// the ctx-accepting entry points when the context is canceled or its
+// BuildWrapperCtx and ExtractLeasedCtx when the context is canceled or its
 // deadline expires while the pipeline is running.  Test with
 // errors.Is(err, core.ErrCanceled); the context cause is reachable through
 // errors.Is(err, context.Canceled) / context.DeadlineExceeded as usual.
@@ -28,11 +27,19 @@ func canceledErr(ctx context.Context) error {
 }
 
 // withCancel returns a copy of opt with the token installed at every
-// pipeline checkpoint site: the page renders of steps 1, the cluster score
-// matrix of step 7 (which reaches the tree-edit-distance DP), and wrapper
-// application.
+// pipeline checkpoint site: the page renders of step 1, the candidate
+// verification and scoring of MRE (step 2), the page pairs of DSE (step
+// 3), the per-DS refinement of step 4, the partition scoring behind
+// mining and granularity (steps 4-6), the cluster score matrix of step 7
+// (which reaches the tree-edit-distance DP), and wrapper application.
 func (o Options) withCancel(tok *cancel.Token) Options {
 	o.cancel = tok
+	o.MRE.Cancel = tok
+	o.DSE.Cancel = tok
+	o.Refine.Cancel = tok
+	o.Refine.Mining.Cancel = tok
+	o.Mining.Cancel = tok
+	o.Granularity.Mining.Cancel = tok
 	o.Cluster.Cancel = tok
 	o.Wrapper.Cancel = tok
 	return o
@@ -52,8 +59,8 @@ func recoverCanceled(ctx context.Context, err *error) {
 }
 
 // BuildWrapperCtx is BuildWrapper honouring ctx: the pipeline polls the
-// context at its long-loop checkpoints (render walk, tree-edit-distance
-// DP, cluster score matrix) and aborts with an error satisfying
+// context at its long-loop checkpoints (render walk, MRE scoring, DSE page
+// pairs, refinement, tree-edit-distance DP, cluster score matrix) and aborts with an error satisfying
 // errors.Is(err, ErrCanceled) once ctx is done.  All pooled memory leased
 // during the aborted run is returned to the pools.  With a
 // non-cancellable ctx this is exactly BuildWrapper.
@@ -71,76 +78,4 @@ func BuildWrapperCtx(ctx context.Context, samples []*SamplePage, opt Options) (e
 	// plain Extracts must not observe a dead context.
 	ew.opt = opt
 	return ew, nil
-}
-
-// ExtractCtx is Extract honouring ctx; see BuildWrapperCtx for the
-// cancellation contract.
-func (ew *EngineWrapper) ExtractCtx(ctx context.Context, html string, query []string) ([]*Section, error) {
-	sections, lease, err := ew.ExtractLeasedCtx(ctx, html, query)
-	lease.Release()
-	return sections, err
-}
-
-// ExtractLeasedCtx is ExtractLeased honouring ctx.  On cancellation (or
-// any panic) every pooled resource acquired for the call is released
-// before the function returns, and the returned lease is nil.  On success
-// the caller owns the lease exactly as with ExtractLeased.
-func (ew *EngineWrapper) ExtractLeasedCtx(ctx context.Context, html string, query []string) ([]*Section, *PageLease, error) {
-	if cancel.FromContext(ctx) == nil {
-		s, l := ew.ExtractLeased(html, query)
-		return s, l, nil
-	}
-	root := ew.opt.Obs.Start(obs.RootExtract)
-	defer root.End()
-	return ew.ExtractLeasedObs(ctx, html, query, root)
-}
-
-// CountsCtx extracts the page and reports only the section and record
-// counts, releasing all pooled memory before returning.  It is the canary
-// scorer of the relearn lifecycle: validation needs the shape of a
-// wrapper's output on a held-out page, not the content, and must not hold
-// leases across many pages.  The cancellation contract is ExtractCtx's.
-func (ew *EngineWrapper) CountsCtx(ctx context.Context, html string, query []string) (sections, records int, err error) {
-	secs, lease, err := ew.ExtractLeasedCtx(ctx, html, query)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, s := range secs {
-		records += len(s.Records)
-	}
-	lease.Release()
-	return len(secs), records, nil
-}
-
-// ExtractLeasedObs is ExtractLeasedCtx recording its per-stage spans —
-// render, wrapper_build, families, plus the sections/records counters —
-// under the caller-supplied root span instead of the wrapper's Tracer.
-// Services use it with a fresh obs.NewSpan per request to obtain stage
-// timings for that one extraction (a wide-event journal line) without the
-// Tracer's accumulate-forever semantics.  root may be nil, which disables
-// tracing; ctx may lack a cancel token, which disables cancellation.  The
-// cancellation and lease contract is exactly ExtractLeasedCtx's.
-func (ew *EngineWrapper) ExtractLeasedObs(ctx context.Context, html string, query []string, root *obs.Span) (sections []*Section, lease *PageLease, err error) {
-	tok := cancel.FromContext(ctx)
-	// The lease exists before any pooled acquisition so that the deferred
-	// release below covers every partial state: arena acquired but render
-	// panicked (page still nil — RenderPooledCancel recycles its own
-	// scratch on the way out), or both acquired but Apply panicked.
-	lease = &PageLease{}
-	defer func() {
-		if r := recover(); r != nil {
-			lease.Release()
-			lease = nil
-			sections = nil
-			if cancel.IsSignal(r) {
-				err = canceledErr(ctx)
-				return
-			}
-			panic(r)
-		}
-	}()
-	wopt := ew.opt.Wrapper
-	wopt.Cancel = tok
-	sections = ew.extractLeasedInto(lease, html, query, tok, root, wopt)
-	return sections, lease, nil
 }

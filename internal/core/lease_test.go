@@ -12,11 +12,8 @@ import (
 // TestPageLeaseReleaseIdempotent covers the sequential contract: releasing
 // twice (or releasing nil) must be a no-op the second time.
 func TestPageLeaseReleaseIdempotent(t *testing.T) {
-	if !dom.ArenasEnabled() {
-		t.Skip("arenas disabled")
-	}
 	doc, arena := htmlparse.ParsePooled("<html><body><p>x</p></body></html>")
-	page := layout.RenderPooled(doc)
+	page := layout.RenderPooledCancel(doc, nil)
 	l := &PageLease{page: page, arena: arena}
 
 	before := dom.ArenaStatsSnapshot().Releases
@@ -39,13 +36,10 @@ func TestPageLeaseReleaseIdempotent(t *testing.T) {
 // same slabs.  The fix gates Release behind an atomic CAS; exactly one
 // caller may win.  Run with -race to catch the field races as well.
 func TestPageLeaseConcurrentRelease(t *testing.T) {
-	if !dom.ArenasEnabled() {
-		t.Skip("arenas disabled")
-	}
 	const goroutines = 8
 	for iter := 0; iter < 300; iter++ {
 		doc, arena := htmlparse.ParsePooled("<html><body><table><tr><td>r</td></tr></table></body></html>")
-		page := layout.RenderPooled(doc)
+		page := layout.RenderPooledCancel(doc, nil)
 		l := &PageLease{page: page, arena: arena}
 
 		arenaBefore := dom.ArenaStatsSnapshot().Releases

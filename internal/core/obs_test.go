@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"mse/internal/obs"
 	"mse/internal/synth"
@@ -70,6 +71,34 @@ func TestBuildWrapperSpans(t *testing.T) {
 	}
 	if root.Counters["tree_dist_calls"] <= 0 {
 		t.Errorf("tree_dist_calls counter = %d, want > 0", root.Counters["tree_dist_calls"])
+	}
+}
+
+// TestBuildWrapperSpansParallel runs the build on four workers, so the
+// per-page steps time overlapping intervals even on a single-core host:
+// the step spans must still report wall time that sums to no more than
+// the root, with the summed worker time kept as busy time.
+func TestBuildWrapperSpansParallel(t *testing.T) {
+	samples := obsSamples(t)
+	opt := DefaultOptions()
+	opt.Parallelism = 4
+	opt.Obs = obs.NewTracer()
+	if _, err := BuildWrapper(samples, opt); err != nil {
+		t.Fatal(err)
+	}
+	root := opt.Obs.Snapshot()[0]
+	var sum time.Duration
+	for _, c := range root.Children {
+		sum += c.Duration
+		if c.Busy < c.Duration {
+			t.Errorf("step %q: busy %v < duration %v", c.Name, c.Busy, c.Duration)
+		}
+	}
+	if sum > root.Duration {
+		t.Errorf("step durations sum %v > root duration %v", sum, root.Duration)
+	}
+	if got := root.Counters["parallel_workers"]; got != 4 {
+		t.Errorf("parallel_workers counter = %d, want 4", got)
 	}
 }
 

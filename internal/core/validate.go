@@ -3,10 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"mse/internal/layout"
-
-	"mse/internal/htmlparse"
 )
 
 // WrapperHealth describes how one section wrapper behaved over a set of
@@ -73,8 +69,7 @@ func (ew *EngineWrapper) Validate(pages []*SamplePage) *ValidationReport {
 		health[w.Order] = &WrapperHealth{Order: w.Order}
 	}
 	for _, sp := range pages {
-		page := layout.Render(htmlparse.Parse(sp.HTML))
-		for _, s := range ew.ExtractFromPage(page, sp.Query) {
+		for _, s := range ew.Extract(sp.HTML, sp.Query) {
 			if s.FromFamily {
 				report.FamilySections++
 				continue

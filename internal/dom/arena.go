@@ -18,10 +18,6 @@ import (
 // only operation that reuses memory.  Strings are never arena-allocated, so
 // extraction results (which contain only strings and ints) remain valid
 // after the page they came from is released.
-//
-// The nil *Arena is valid and falls back to plain heap allocation, which is
-// also what every constructor returns while SetArenasEnabled(false) is in
-// effect — the escape hatch that restores the old allocator wholesale.
 type Arena struct {
 	nodes     []Node   // current node slab; fixed capacity, never reallocated
 	nodeSlabs [][]Node // full slabs, retained so Release can zero them
@@ -34,23 +30,10 @@ const (
 	attrSlabSize = 1024
 )
 
-// arenasEnabled gates every arena and pool on the extraction fast path.
-var arenasEnabled atomic.Bool
-
-func init() { arenasEnabled.Store(true) }
-
-// SetArenasEnabled toggles the arena/pool fast path globally.  With arenas
-// disabled, NewArena and AcquireArena return nil and every allocation falls
-// back to the garbage-collected heap, restoring the pre-arena allocator.
-func SetArenasEnabled(v bool) { arenasEnabled.Store(v) }
-
-// ArenasEnabled reports whether the arena/pool fast path is active.
-func ArenasEnabled() bool { return arenasEnabled.Load() }
-
 // ArenaStats are cumulative counters describing arena traffic; exposed on
 // /metrics and /statusz by the extraction service.
 type ArenaStats struct {
-	Acquires uint64 `json:"acquires"` // AcquireArena calls that returned an arena
+	Acquires uint64 `json:"acquires"` // AcquireArena calls
 	Reuses   uint64 `json:"reuses"`   // acquires satisfied from the pool
 	Releases uint64 `json:"releases"` // arenas returned to the pool
 	Nodes    uint64 `json:"nodes"`    // nodes served from slabs
@@ -84,24 +67,15 @@ var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 // counter: a pooled arena still owns at least one slab.
 func (a *Arena) poolHit() bool { return a.nodes != nil }
 
-// NewArena returns a fresh, unpooled arena (nil when arenas are disabled).
-// Use it for trees whose lifetime is unbounded — allocation is still
-// batched, but the memory is handed to the garbage collector rather than
-// recycled, so no Release discipline is needed.
-func NewArena() *Arena {
-	if !arenasEnabled.Load() {
-		return nil
-	}
-	return &Arena{}
-}
+// NewArena returns a fresh, unpooled arena.  Use it for trees whose
+// lifetime is unbounded — allocation is still batched, but the memory is
+// handed to the garbage collector rather than recycled, so no Release
+// discipline is needed.
+func NewArena() *Arena { return &Arena{} }
 
 // AcquireArena returns a pooled arena that MUST be Released once the tree
-// parsed from it is dead (nil when arenas are disabled, in which case
-// Release is a no-op).
+// parsed from it is dead.
 func AcquireArena() *Arena {
-	if !arenasEnabled.Load() {
-		return nil
-	}
 	a := arenaPool.Get().(*Arena)
 	arenaStats.acquires.Add(1)
 	if a.poolHit() {
@@ -110,12 +84,8 @@ func AcquireArena() *Arena {
 	return a
 }
 
-// Node returns a zeroed node allocated from the arena, or from the heap
-// for a nil arena.
+// Node returns a zeroed node allocated from the arena.
 func (a *Arena) Node() *Node {
-	if a == nil {
-		return &Node{}
-	}
 	if len(a.nodes) == cap(a.nodes) {
 		if a.nodes != nil {
 			a.nodeSlabs = append(a.nodeSlabs, a.nodes)
@@ -129,13 +99,10 @@ func (a *Arena) Node() *Node {
 }
 
 // Attrs returns a zeroed attribute slice of length n allocated from the
-// arena, or from the heap for a nil arena.
+// arena.
 func (a *Arena) Attrs(n int) []Attr {
 	if n == 0 {
 		return nil
-	}
-	if a == nil {
-		return make([]Attr, n)
 	}
 	if cap(a.attrs)-len(a.attrs) < n {
 		if a.attrs != nil {
@@ -155,7 +122,8 @@ func (a *Arena) Attrs(n int) []Attr {
 // Release zeroes every allocation handed out since the arena was acquired
 // and returns the arena to the pool.  See the soundness rule in the type
 // documentation; calling Release while any *Node from this arena is still
-// reachable is a use-after-free class bug.
+// reachable is a use-after-free class bug.  Releasing a nil arena is a
+// no-op.
 func (a *Arena) Release() {
 	if a == nil {
 		return

@@ -17,6 +17,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"mse/internal/cancel"
 	"mse/internal/dom"
 	"mse/internal/layout"
 	"mse/internal/sect"
@@ -28,6 +29,10 @@ type Options struct {
 	// mutual-best matched before it is accepted as a CSBM (1 = union of
 	// pairwise marks, the default).
 	MinPairs int
+	// Cancel, when non-nil, is polled once per page pair of the CSBM
+	// phase.  core.BuildWrapperCtx installs it; it never needs to be set
+	// by hand.
+	Cancel *cancel.Token `json:"-"`
 }
 
 // DefaultOptions returns the defaults.
@@ -257,6 +262,7 @@ func IdentifyCSBMs(inputs []*PageInput, opt Options) [][]bool {
 	}
 	for a := 0; a < len(inputs); a++ {
 		for b := a + 1; b < len(inputs); b++ {
+			opt.Cancel.Check()
 			matchPair(cleaned[a], cleaned[b], votes[a], votes[b])
 		}
 	}

@@ -105,7 +105,7 @@ func isBarrier(tag, open string) bool {
 type parser struct {
 	doc   *dom.Node
 	stack []*dom.Node // open elements; stack[0] is the document
-	arena *dom.Arena  // node/attr allocator; nil falls back to the heap
+	arena *dom.Arena  // node/attr allocator
 }
 
 // Parse parses HTML source into a DOM tree rooted at a DocumentNode.  The
@@ -123,8 +123,7 @@ func Parse(src string) *dom.Node {
 
 // ParsePooled parses like Parse but allocates the tree from a pooled
 // arena, which the caller must Release once nothing can reference the
-// returned tree anymore (dom.Arena documents the soundness rule).  The
-// arena is nil — and Release a no-op — when arenas are disabled.
+// returned tree anymore (dom.Arena documents the soundness rule).
 func ParsePooled(src string) (*dom.Node, *dom.Arena) {
 	return parseWith(src, dom.AcquireArena())
 }

@@ -246,32 +246,16 @@ func Render(doc *dom.Node) *Page {
 	return p
 }
 
-// RenderCancel is Render polling a cancellation token every checkpointStride
-// nodes of the DOM walk, so rendering a pathological page aborts promptly
-// when the caller's context is canceled (the walk panics with
-// cancel.Signal; the boundary that created the token recovers it).
-func RenderCancel(doc *dom.Node, tok *cancel.Token) *Page {
-	p, _ := renderWith(doc, new(renderScratch), false, tok, renderModeFull, 0)
-	return p
-}
-
-// RenderPooled is Render with the scratch drawn from a process-wide pool;
-// the caller must call Page.Release once it no longer references the page
-// or anything reachable from it.  When arenas are disabled (see
-// dom.SetArenasEnabled) it degrades to Render.
-func RenderPooled(doc *dom.Node) *Page {
-	return RenderPooledCancel(doc, nil)
-}
-
-// RenderPooledCancel is RenderPooled with the cancellation behaviour of
-// RenderCancel.  When the walk unwinds — through cancellation or any other
-// panic — the pooled scratch is recycled before the panic continues, so an
-// aborted render can never leak a scratch out of the pool.
+// RenderPooledCancel is Render with the scratch drawn from a process-wide
+// pool; the caller must call Page.Release once it no longer references the
+// page or anything reachable from it.  tok, when non-nil, is polled every
+// checkpointStride nodes of the DOM walk, so rendering a pathological page
+// aborts promptly when the caller's context is canceled (the walk panics
+// with cancel.Signal; the boundary that created the token recovers it).
+// When the walk unwinds — through cancellation or any other panic — the
+// pooled scratch is recycled before the panic continues, so an aborted
+// render can never leak a scratch out of the pool.
 func RenderPooledCancel(doc *dom.Node, tok *cancel.Token) *Page {
-	if !dom.ArenasEnabled() {
-		p, _ := renderWith(doc, new(renderScratch), false, tok, renderModeFull, 0)
-		return p
-	}
 	p, _ := renderWith(doc, acquireScratch(), true, tok, renderModeFull, 0)
 	return p
 }
@@ -295,9 +279,6 @@ type PruneInfo struct {
 // read by extraction.  outer <= 0 with no marks yields an empty line
 // list.  Cancellation and pooling behave exactly as RenderPooledCancel.
 func RenderPooledPruned(doc *dom.Node, tok *cancel.Token, outer int) (*Page, PruneInfo) {
-	if !dom.ArenasEnabled() {
-		return renderWith(doc, new(renderScratch), false, tok, renderModePruned, outer)
-	}
 	return renderWith(doc, acquireScratch(), true, tok, renderModePruned, outer)
 }
 

@@ -11,6 +11,7 @@ package mining
 import (
 	"strings"
 
+	"mse/internal/cancel"
 	"mse/internal/dom"
 	"mse/internal/layout"
 	"mse/internal/sect"
@@ -23,6 +24,11 @@ type Options struct {
 	RecordWeights visual.RecordWeights
 	// MaxGroup bounds the "every k roots" family of candidate partitions.
 	MaxGroup int
+	// Cancel, when non-nil, is polled once per scored partition, so a
+	// canceled context aborts mining (and the granularity repairs built
+	// on PartitionScore) between cohesion computations.
+	// core.BuildWrapperCtx installs it; it never needs to be set by hand.
+	Cancel *cancel.Token `json:"-"`
 }
 
 // DefaultOptions returns the defaults.
@@ -59,6 +65,7 @@ func MineRecords(p *layout.Page, start, end int, opt Options) []visual.Block {
 // degenerate partition, whose cohesion is otherwise inflated by its zero
 // inter-record distance.
 func PartitionScore(p *layout.Page, part []visual.Block, start, end int, opt Options) float64 {
+	opt.Cancel.Check()
 	score := visual.SectionCohesion(part, opt.LineWeights, opt.RecordWeights)
 	if len(part) >= 2 && uniformRecordStarts(p, part, start, end) {
 		score *= 1.6

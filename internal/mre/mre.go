@@ -22,6 +22,7 @@ package mre
 import (
 	"sort"
 
+	"mse/internal/cancel"
 	"mse/internal/layout"
 	"mse/internal/sect"
 	"mse/internal/visual"
@@ -44,6 +45,11 @@ type Options struct {
 	// MinOverlap is the fractional line overlap above which two tentative
 	// MRs are considered to occupy the same page area.
 	MinOverlap float64
+	// Cancel, when non-nil, is polled once per verified and per scored
+	// candidate, so a canceled context aborts extraction between
+	// inter-record distance computations.  core.BuildWrapperCtx installs it; it never
+	// needs to be set by hand.
+	Cancel *cancel.Token `json:"-"`
 }
 
 // DefaultOptions returns the tuned defaults (tuned on sample pages only,
@@ -193,6 +199,7 @@ func containsRule(b visual.Block) bool {
 // first-line paths, and the inter-record distance already carries the
 // structural signal through its tag-forest component.)
 func verify(s *sect.Section, opt Options) bool {
+	opt.Cancel.Check()
 	if len(s.Records) < opt.MinRecords {
 		return false
 	}
@@ -265,6 +272,7 @@ func bestMR(group []*sect.Section, opt Options) *sect.Section {
 }
 
 func score(s *sect.Section, opt Options) float64 {
+	opt.Cancel.Check()
 	// Cohesion (Formula 7) is the primary signal: partitions into
 	// single-line fragments score zero diversity and partitions that
 	// merge records score low diversity per line.  Alignment — every

@@ -19,12 +19,15 @@
 //
 // Spans form a tree; a Child span created repeatedly under the same name
 // is returned once and accumulates, so a per-page loop still yields exactly
-// one span per pipeline step.  Snapshots are plain data and serialize to
-// JSON.
+// one span per pipeline step.  A span's duration is wall time: the union of
+// its timed intervals, so workers timing one step concurrently count their
+// overlap once.  The summed worker time is kept beside it as busy time.
+// Snapshots are plain data and serialize to JSON.
 package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -115,23 +118,57 @@ func (t *Tracer) Reset() {
 	t.mu.Unlock()
 }
 
-// Span is one timed node in a trace tree.  The zero duration of a span
-// that was started but never ended is the time accumulated so far via
-// AddSince; End adds the time since Start.  All methods are nil-safe.
+// Span is one timed node in a trace tree.  The duration of a span that
+// was started but never ended is the time accumulated so far via AddSince;
+// End adds the time since Start.  Timed intervals that overlap — workers
+// of a parallel step — count once in the duration and in full in the busy
+// time.  All methods are nil-safe.
 type Span struct {
 	name string
 	t0   time.Time // set by newSpan; monotonic
 
 	mu       sync.Mutex
-	dur      time.Duration
+	dur      time.Duration // wall: measure of covered plus untimed Adds
+	busy     time.Duration // every AddSince, Add and End in full
+	covered  []interval    // disjoint, sorted by start
+	inline   [2]interval   // backs covered for the common one- or two-interval span
 	ended    bool
 	counters map[string]int64
 	children []*Span
 	index    map[string]*Span
 }
 
+// interval is the stretch of monotonic time [from, to).
+type interval struct{ from, to time.Time }
+
 func newSpan(name string) *Span {
-	return &Span{name: name, t0: time.Now()}
+	s := &Span{name: name, t0: time.Now()}
+	s.covered = s.inline[:0]
+	return s
+}
+
+// cover adds [from, to) to the span's covered time and returns the wall
+// time it newly covers: the part of the interval that no earlier interval
+// already spans.  The caller holds s.mu.
+func (s *Span) cover(from, to time.Time) time.Duration {
+	// i is the first interval ending at or after from; every interval
+	// from i on that starts no later than to touches [from, to).
+	i := sort.Search(len(s.covered), func(k int) bool { return !s.covered[k].to.Before(from) })
+	merged := interval{from, to}
+	var old time.Duration
+	j := i
+	for ; j < len(s.covered) && !s.covered[j].from.After(to); j++ {
+		c := s.covered[j]
+		if c.from.Before(merged.from) {
+			merged.from = c.from
+		}
+		if c.to.After(merged.to) {
+			merged.to = c.to
+		}
+		old += c.to.Sub(c.from)
+	}
+	s.covered = slices.Replace(s.covered, i, j, merged)
+	return merged.to.Sub(merged.from) - old
 }
 
 // NewSpan starts a free-standing root span that is not collected by any
@@ -192,40 +229,46 @@ func (s *Span) Begin() time.Time {
 	return time.Now()
 }
 
-// AddSince accumulates the time elapsed since t0 into the span's duration.
-// A zero t0 (from Begin on a nil span) contributes nothing, but callers
-// normally hold a nil span then anyway.
+// AddSince accumulates the interval from t0 to now into the span: its
+// duration grows by the part of the interval not already covered by an
+// overlapping one, its busy time by the whole interval.  A zero t0 (from
+// Begin on a nil span) contributes nothing, but callers normally hold a
+// nil span then anyway.
 func (s *Span) AddSince(t0 time.Time) {
 	if s == nil || t0.IsZero() {
 		return
 	}
-	d := time.Since(t0)
+	now := time.Now()
 	s.mu.Lock()
-	s.dur += d
+	s.dur += s.cover(t0, now)
+	s.busy += now.Sub(t0)
 	s.mu.Unlock()
 }
 
-// Add accumulates d into the span's duration directly.
+// Add accumulates d into the span's duration and busy time directly.  An
+// untimed d has no place on the clock, so it never overlaps anything.
 func (s *Span) Add(d time.Duration) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	s.dur += d
+	s.busy += d
 	s.mu.Unlock()
 }
 
-// End stops the span, adding the time elapsed since Start.  End is
+// End stops the span, adding the interval since Start.  End is
 // idempotent: the second and later calls are no-ops.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	d := time.Since(s.t0)
+	now := time.Now()
 	s.mu.Lock()
 	if !s.ended {
 		s.ended = true
-		s.dur += d
+		s.dur += s.cover(s.t0, now)
+		s.busy += now.Sub(s.t0)
 	}
 	s.mu.Unlock()
 }
@@ -243,7 +286,7 @@ func (s *Span) Count(key string, n int64) {
 	s.mu.Unlock()
 }
 
-// Duration returns the accumulated duration so far.
+// Duration returns the accumulated wall duration so far.
 func (s *Span) Duration() time.Duration {
 	if s == nil {
 		return 0
@@ -251,6 +294,18 @@ func (s *Span) Duration() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dur
+}
+
+// Busy returns the accumulated busy time so far: the sum of every timed
+// interval, overlapping ones included.  Busy/Duration is the span's
+// parallel efficiency numerator over its wall time.
+func (s *Span) Busy() time.Duration {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.busy
 }
 
 // Snapshot returns a plain-data copy of the span tree, suitable for JSON
@@ -263,6 +318,7 @@ func (s *Span) Snapshot() *SpanSnapshot {
 	snap := &SpanSnapshot{
 		Name:     s.name,
 		Duration: s.dur,
+		Busy:     s.busy,
 	}
 	if len(s.counters) > 0 {
 		snap.Counters = make(map[string]int64, len(s.counters))
@@ -281,8 +337,11 @@ func (s *Span) Snapshot() *SpanSnapshot {
 
 // SpanSnapshot is the serializable form of a span tree.
 type SpanSnapshot struct {
-	Name     string           `json:"name"`
-	Duration time.Duration    `json:"duration_ns"`
+	Name     string        `json:"name"`
+	Duration time.Duration `json:"duration_ns"` // wall time
+	// Busy is the summed time of every timed interval; it exceeds
+	// Duration by the overlap of concurrent workers.
+	Busy     time.Duration    `json:"busy_ns,omitempty"`
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Children []*SpanSnapshot  `json:"children,omitempty"`
 }
@@ -301,7 +360,8 @@ func (s *SpanSnapshot) Find(name string) *SpanSnapshot {
 }
 
 // Format renders the span tree as an indented, human-readable table:
-// name, duration, percentage of the root, and counters.
+// name, duration, percentage of the root, and counters.  A span whose
+// busy time exceeds its duration (a parallel step) also shows busy=.
 func (s *SpanSnapshot) Format() string {
 	if s == nil {
 		return ""
@@ -314,9 +374,13 @@ func (s *SpanSnapshot) Format() string {
 		if total > 0 && depth > 0 {
 			pct = fmt.Sprintf("%5.1f%%", 100*float64(sp.Duration)/float64(total))
 		}
-		fmt.Fprintf(&b, "%-*s%-*s %10s %6s%s\n",
+		busy := ""
+		if sp.Busy > sp.Duration {
+			busy = "  busy=" + sp.Busy.Round(time.Microsecond).String()
+		}
+		fmt.Fprintf(&b, "%-*s%-*s %10s %6s%s%s\n",
 			2*depth, "", 24-2*depth, sp.Name,
-			sp.Duration.Round(time.Microsecond), pct, formatCounters(sp.Counters))
+			sp.Duration.Round(time.Microsecond), pct, busy, formatCounters(sp.Counters))
 		for _, c := range sp.Children {
 			walk(c, depth+1)
 		}
@@ -341,8 +405,8 @@ func formatCounters(c map[string]int64) string {
 	return b.String()
 }
 
-// Merge sums a set of span snapshots into one: durations and counters add
-// up, and children are merged recursively by name (ordered by first
+// Merge sums a set of span snapshots into one: durations, busy times and
+// counters add up, and children are merged recursively by name (ordered by first
 // occurrence).  It is used to aggregate per-engine traces into one
 // breakdown.  The merged root takes the name of the first snapshot; nil
 // entries are skipped; Merge of an empty set returns nil.
@@ -362,6 +426,7 @@ func Merge(snaps []*SpanSnapshot) *SpanSnapshot {
 
 func mergeInto(dst, src *SpanSnapshot) {
 	dst.Duration += src.Duration
+	dst.Busy += src.Busy
 	if len(src.Counters) > 0 && dst.Counters == nil {
 		dst.Counters = map[string]int64{}
 	}

@@ -39,6 +39,68 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
+// TestSpanCoverUnion checks the wall-time bookkeeping: each interval adds
+// only the time no earlier interval covers, whatever order they arrive in.
+func TestSpanCoverUnion(t *testing.T) {
+	base := time.Now()
+	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	s := newSpan("step")
+	for _, c := range []struct {
+		from, to int
+		want     time.Duration
+	}{
+		{10, 20, ms(10)}, // first interval
+		{30, 40, ms(10)}, // disjoint, later
+		{0, 5, ms(5)},    // disjoint, earlier
+		{12, 18, 0},      // nested in [10, 20)
+		{15, 35, ms(10)}, // bridges [10, 20) and [30, 40)
+		{40, 45, ms(5)},  // touches [10, 40)
+		{0, 50, ms(10)},  // swallows everything
+	} {
+		if got := s.cover(at(c.from), at(c.to)); got != c.want {
+			t.Fatalf("cover [%d, %d) = %v, want %v", c.from, c.to, got, c.want)
+		}
+	}
+	if len(s.covered) != 1 || !s.covered[0].from.Equal(at(0)) || !s.covered[0].to.Equal(at(50)) {
+		t.Fatalf("covered = %v, want the single interval [0, 50)", s.covered)
+	}
+}
+
+// TestSpanConcurrentWorkersCountWallOnce has workers time one step at the
+// same time: the step's duration is the wall time they spanned, never more
+// than its parent's, while its busy time sums every worker.
+func TestSpanConcurrentWorkersCountWallOnce(t *testing.T) {
+	root := NewSpan("root")
+	step := root.Child("step")
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := step.Begin()
+			time.Sleep(5 * time.Millisecond)
+			step.AddSince(t0)
+		}()
+	}
+	wg.Wait()
+	root.End()
+	s := root.Snapshot()
+	c := s.Children[0]
+	if c.Duration > s.Duration {
+		t.Fatalf("step duration %v exceeds root %v", c.Duration, s.Duration)
+	}
+	if c.Busy < 4*5*time.Millisecond {
+		t.Fatalf("step busy = %v, want >= 20ms (4 workers x 5ms)", c.Busy)
+	}
+	if c.Duration < 5*time.Millisecond || c.Busy <= c.Duration {
+		t.Fatalf("step duration %v, busy %v: want 5ms <= duration < busy", c.Duration, c.Busy)
+	}
+	if !strings.Contains(s.Format(), "busy=") {
+		t.Fatalf("Format() does not show the parallel step's busy time:\n%s", s.Format())
+	}
+}
+
 func TestSpanChildAccumulates(t *testing.T) {
 	tr := NewTracer()
 	root := tr.Start("root")

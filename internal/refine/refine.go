@@ -27,6 +27,7 @@ package refine
 import (
 	"sort"
 
+	"mse/internal/cancel"
 	"mse/internal/layout"
 	"mse/internal/mining"
 	"mse/internal/sect"
@@ -49,6 +50,11 @@ type Options struct {
 	// Mining parameterizes the record mining used when unclaimed DS
 	// content is attached to a section.
 	Mining mining.Options
+	// Cancel, when non-nil, is polled once per DS and per record grown by
+	// the edit-distance consumption, so a canceled context aborts
+	// refinement between distance computations.  core.BuildWrapperCtx
+	// installs it; it never needs to be set by hand.
+	Cancel *cancel.Token `json:"-"`
 }
 
 // DefaultOptions returns the paper's parameters.
@@ -72,6 +78,7 @@ func Refine(page *layout.Page, mrs, dss []*sect.Section, csbm []bool, opt Option
 	dss = mergeFalseBoundaries(page, mrs, dss, csbm, opt)
 	var out []*sect.Section
 	for _, ds := range dss {
+		opt.Cancel.Check()
 		out = append(out, processDS(page, ds, mrs, csbm, opt, 0)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
@@ -460,6 +467,7 @@ func consumeED(page *layout.Page, start, end int, ol []visual.Block, opt Options
 	var accepted []visual.Block
 	all := append([]visual.Block(nil), ol...)
 	for start < end {
+		opt.Cancel.Check()
 		thresh := threshold(all, opt)
 		bestLen, bestDist := 0, 0.0
 		for k := 1; k <= end-start; k++ {

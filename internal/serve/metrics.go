@@ -180,7 +180,6 @@ func excacheSnapshot(c *excache.Cache) *excacheJSON {
 // extraction fast path: parse arenas, render scratches and apply
 // scratches (see dom.Arena and the DESIGN notes on arena soundness).
 type poolsJSON struct {
-	ArenasEnabled bool                      `json:"arenas_enabled"`
 	ParseArena    dom.ArenaStats            `json:"parse_arena"`
 	RenderScratch layout.ScratchStats       `json:"render_scratch"`
 	ApplyScratch  wrapper.ApplyScratchStats `json:"apply_scratch"`
@@ -188,20 +187,17 @@ type poolsJSON struct {
 	// Compiled-extraction fast path: wrapper lowering hits and the
 	// DOM-pruning pass (candidate location, skipped subtrees, full vs
 	// skeleton line counts).
-	CompiledEnabled bool                  `json:"compiled_enabled"`
-	Compiled        wrapper.CompiledStats `json:"compiled"`
-	Prune           prune.Stats           `json:"prune"`
+	Compiled wrapper.CompiledStats `json:"compiled"`
+	Prune    prune.Stats           `json:"prune"`
 }
 
 func poolsSnapshot() *poolsJSON {
 	return &poolsJSON{
-		ArenasEnabled:   dom.ArenasEnabled(),
-		ParseArena:      dom.ArenaStatsSnapshot(),
-		RenderScratch:   layout.ScratchStatsSnapshot(),
-		ApplyScratch:    wrapper.ApplyScratchStatsSnapshot(),
-		CompiledEnabled: wrapper.CompiledEnabled(),
-		Compiled:        wrapper.CompiledStatsSnapshot(),
-		Prune:           prune.StatsSnapshot(),
+		ParseArena:    dom.ArenaStatsSnapshot(),
+		RenderScratch: layout.ScratchStatsSnapshot(),
+		ApplyScratch:  wrapper.ApplyScratchStatsSnapshot(),
+		Compiled:      wrapper.CompiledStatsSnapshot(),
+		Prune:         prune.StatsSnapshot(),
 	}
 }
 
@@ -312,8 +308,7 @@ func (m *Metrics) writeStatusz(w io.Writer, info StatusInfo) {
 		tc.Enabled, tc.Entries, tc.Lookups, tc.Identical, tc.Hits, tc.Misses,
 		tc.EarlyExits, tc.Evictions, 100*tc.HitRate)
 	ps := poolsSnapshot()
-	fmt.Fprintf(w, "pools: arenas=%v parse(acquires=%d reuses=%d releases=%d reuse-rate=%.1f%%) render(acquires=%d reuses=%d releases=%d reuse-rate=%.1f%%) apply(acquires=%d reuses=%d reuse-rate=%.1f%%)\n",
-		ps.ArenasEnabled,
+	fmt.Fprintf(w, "pools: parse(acquires=%d reuses=%d releases=%d reuse-rate=%.1f%%) render(acquires=%d reuses=%d releases=%d reuse-rate=%.1f%%) apply(acquires=%d reuses=%d reuse-rate=%.1f%%)\n",
 		ps.ParseArena.Acquires, ps.ParseArena.Reuses, ps.ParseArena.Releases,
 		ratio(ps.ParseArena.Reuses, ps.ParseArena.Acquires),
 		ps.RenderScratch.Acquires, ps.RenderScratch.Reuses, ps.RenderScratch.Releases,

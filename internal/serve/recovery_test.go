@@ -49,13 +49,11 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	// The deferred ReleasePage must have run during the unwind: every
 	// arena acquired since the baseline has been released again.
-	if dom.ArenasEnabled() {
-		after := dom.ArenaStatsSnapshot()
-		acq := after.Acquires - before.Acquires
-		rel := after.Releases - before.Releases
-		if acq != rel {
-			t.Fatalf("arena leak across panic: %d acquired, %d released", acq, rel)
-		}
+	after := dom.ArenaStatsSnapshot()
+	acq := after.Acquires - before.Acquires
+	rel := after.Releases - before.Releases
+	if acq != rel {
+		t.Fatalf("arena leak across panic: %d acquired, %d released", acq, rel)
 	}
 
 	// The server must keep serving: the same request without the panic

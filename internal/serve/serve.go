@@ -699,13 +699,13 @@ func (r *Registry) extractEntry(ctx context.Context, name string, ent *engineEnt
 	var out extractOutcome
 	fill := func() (*excache.Entry, error) {
 		start := time.Now()
-		sections, lease, err := ent.ew.ExtractLeasedObs(ctx, html, query, root)
+		sections, lease, err := ent.ew.ExtractLeasedCtx(ctx, html, query, root)
 		elapsed := time.Since(start)
 		em.latency.Observe(elapsed)
 		if err != nil {
 			if errors.Is(err, core.ErrCanceled) {
 				// The pipeline aborted cooperatively; every pooled resource
-				// is already back (ExtractLeasedObs releases on the way
+				// is already back (ExtractLeasedCtx releases on the way
 				// out).  The drift detector does not see this page: a
 				// vanished client or an expired deadline says nothing about
 				// the engine.

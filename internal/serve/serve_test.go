@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -180,6 +181,43 @@ func TestRegistryAddRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestRegistryAddRejectsNullEntries: a null wrapper or family entry is a
+// typed load error, never a registered engine that panics on first use.
+// The same decode backs the -wrappers directory and snapshot restore.
+func TestRegistryAddRejectsNullEntries(t *testing.T) {
+	testRegistry(t) // trains the valid wrapper in testWrapper.data
+	var valid struct {
+		Wrappers []json.RawMessage `json:"wrappers"`
+	}
+	if err := json.Unmarshal(testWrapper.data, &valid); err != nil || len(valid.Wrappers) == 0 {
+		t.Fatalf("test wrapper has no section wrappers: %v", err)
+	}
+	for _, tc := range []struct {
+		name, data, list string
+		index            int
+	}{
+		{"null wrapper", `{"wrappers":[null]}`, "wrappers", 0},
+		{"null family", `{"families":[null]}`, "families", 0},
+		{"null after valid wrapper", `{"wrappers":[` + string(valid.Wrappers[0]) + `,null]}`, "wrappers", 1},
+		{"null family beside wrappers", `{"wrappers":[` + string(valid.Wrappers[0]) + `],"families":[null]}`, "families", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry(core.DefaultOptions())
+			err := reg.Add("bad", []byte(tc.data))
+			var ne *core.NullEntryError
+			if !errors.As(err, &ne) {
+				t.Fatalf("Add error = %v, want *core.NullEntryError", err)
+			}
+			if ne.List != tc.list || ne.Index != tc.index {
+				t.Fatalf("error names %s[%d], want %s[%d]", ne.List, ne.Index, tc.list, tc.index)
+			}
+			if len(reg.Names()) != 0 {
+				t.Fatalf("wrapper with a null entry registered")
+			}
+		})
+	}
+}
+
 func TestRegistryConcurrentUse(t *testing.T) {
 	reg, e := testRegistry(t)
 	srv := httptest.NewServer(reg.Handler())
@@ -319,8 +357,7 @@ func TestMetricsReportPools(t *testing.T) {
 	defer resp.Body.Close()
 	var out struct {
 		Pools *struct {
-			ArenasEnabled bool `json:"arenas_enabled"`
-			ParseArena    struct {
+			ParseArena struct {
 				Acquires int64 `json:"acquires"`
 			} `json:"parse_arena"`
 		} `json:"pools"`
@@ -331,7 +368,7 @@ func TestMetricsReportPools(t *testing.T) {
 	if out.Pools == nil {
 		t.Fatalf("metrics snapshot has no pools section")
 	}
-	if out.Pools.ArenasEnabled && out.Pools.ParseArena.Acquires == 0 {
-		t.Fatalf("arenas enabled but no arena acquires recorded")
+	if out.Pools.ParseArena.Acquires == 0 {
+		t.Fatalf("no arena acquires recorded")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // applyScratch is the per-Apply working state — most importantly the
 // reusable line cleaner, whose query-term set and output buffer would
 // otherwise be rebuilt for every boundary-marker comparison.  Pooled
-// across requests when arenas are enabled.
+// across requests.
 type applyScratch struct {
 	cleaner dse.LineCleaner
 	// sigBuf is the reused root-signature buffer of the compiled partition
@@ -43,6 +43,18 @@ func ApplyScratchStatsSnapshot() ApplyScratchStats {
 		Acquires: applyScratchStats.acquires.Load(),
 		Reuses:   applyScratchStats.reuses.Load(),
 	}
+}
+
+// acquireApplyScratch returns a pooled per-application scratch; the caller
+// returns it to applyScratchPool when done.
+func acquireApplyScratch() *applyScratch {
+	sc := applyScratchPool.Get().(*applyScratch)
+	applyScratchStats.acquires.Add(1)
+	if sc.used {
+		applyScratchStats.reuses.Add(1)
+	}
+	sc.used = true
+	return sc
 }
 
 // ExtractedRecord is one search result record pulled from a page.
@@ -82,18 +94,8 @@ func (w *SectionWrapper) Apply(p *layout.Page, query []string, opt Options) *Ext
 	// decide which candidate is the section: the paper's SBMs "precisely
 	// bound sections" (§2), and on pages where other sections are hidden
 	// the sibling offsets shift while the markers stay.
-	var sc *applyScratch
-	if dom.ArenasEnabled() {
-		sc = applyScratchPool.Get().(*applyScratch)
-		defer applyScratchPool.Put(sc)
-		applyScratchStats.acquires.Add(1)
-		if sc.used {
-			applyScratchStats.reuses.Add(1)
-		}
-		sc.used = true
-	} else {
-		sc = new(applyScratch)
-	}
+	sc := acquireApplyScratch()
+	defer applyScratchPool.Put(sc)
 	sc.cleaner.Reset(query)
 
 	cands := dom.LocateCompactAll(p.Doc, w.Pref)

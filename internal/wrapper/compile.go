@@ -22,7 +22,8 @@ package wrapper
 // Compiled application consumes candidate subtrees produced by the prune
 // pass (internal/prune) instead of running its own LocateCompactAll DFS;
 // the candidate lists are element-identical, so compiled extraction is
-// byte-identical to the interpreted path (pinned by differential tests).
+// byte-identical to the interpreted path, which survives as the reference
+// the differential tests compare against.
 
 import (
 	"strings"
@@ -33,20 +34,6 @@ import (
 	"mse/internal/mining"
 	"mse/internal/visual"
 )
-
-// compiledEnabled gates the compiled fast path process-wide, mirroring
-// dom.SetArenasEnabled: flipping it off restores the interpreted legacy
-// path (an operational escape hatch, and the lever the differential tests
-// toggle).
-var compiledEnabled atomic.Bool
-
-func init() { compiledEnabled.Store(true) }
-
-// SetCompiledEnabled toggles the compiled wrapper fast path.
-func SetCompiledEnabled(v bool) { compiledEnabled.Store(v) }
-
-// CompiledEnabled reports whether the compiled fast path is on.
-func CompiledEnabled() bool { return compiledEnabled.Load() }
 
 // CompiledStats are cumulative compiled-application counters; exposed on
 // /metrics by the extraction service.
@@ -173,22 +160,6 @@ func attrSetEqual(lineAttrs, target []layout.TextAttr) bool {
 	return true
 }
 
-// acquireApplyScratch returns a per-application scratch, pooled when
-// arenas are enabled; the second result tells the caller to return it to
-// applyScratchPool.
-func acquireApplyScratch() (*applyScratch, bool) {
-	if dom.ArenasEnabled() {
-		sc := applyScratchPool.Get().(*applyScratch)
-		applyScratchStats.acquires.Add(1)
-		if sc.used {
-			applyScratchStats.reuses.Add(1)
-		}
-		sc.used = true
-		return sc, true
-	}
-	return new(applyScratch), false
-}
-
 // CompiledWrapper is the compiled form of a SectionWrapper.  It holds a
 // reference to — never a mutated copy of — the source wrapper, so the
 // wrapper's JSON form is unchanged by compilation.
@@ -221,10 +192,8 @@ func (cw *CompiledWrapper) Source() *SectionWrapper { return cw.w }
 // match the interpreted path.
 func (cw *CompiledWrapper) Apply(p *layout.Page, cands []*dom.Node, query []string, opt Options) *ExtractedSection {
 	compiledHits.Add(1)
-	sc, pooled := acquireApplyScratch()
-	if pooled {
-		defer applyScratchPool.Put(sc)
-	}
+	sc := acquireApplyScratch()
+	defer applyScratchPool.Put(sc)
 	sc.cleaner.Reset(query)
 
 	const maxCandidates = 24
@@ -386,10 +355,8 @@ func (cf *CompiledFamily) Source() *Family { return cf.f }
 // matches in document order, as Doc.Walk would produce them.
 func (cf *CompiledFamily) ApplyCands(p *layout.Page, cands []*dom.Node, opt Options) []*ExtractedSection {
 	compiledHits.Add(1)
-	sc, pooled := acquireApplyScratch()
-	if pooled {
-		defer applyScratchPool.Put(sc)
-	}
+	sc := acquireApplyScratch()
+	defer applyScratchPool.Put(sc)
 	switch cf.f.Type {
 	case Type1:
 		if len(cands) == 0 {

@@ -1,9 +1,11 @@
 package mse
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"mse/internal/core"
 	"mse/internal/synth"
 )
 
@@ -84,6 +86,24 @@ func TestLoadWrapperRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadWrapper([]byte(`{"wrappers":[{"pref":"not-a-path"}]}`), nil); err == nil {
 		t.Fatalf("bad pref accepted")
+	}
+}
+
+// TestLoadWrapperRejectsNullEntries: null wrapper or family entries fail
+// at load time with a typed error instead of panicking on first Extract.
+func TestLoadWrapperRejectsNullEntries(t *testing.T) {
+	for _, tc := range []struct {
+		data, list string
+	}{
+		{`{"wrappers":[null]}`, "wrappers"},
+		{`{"families":[null]}`, "families"},
+		{`{"wrappers":[],"families":[null]}`, "families"},
+	} {
+		w, err := LoadWrapper([]byte(tc.data), nil)
+		var ne *core.NullEntryError
+		if !errors.As(err, &ne) || ne.List != tc.list {
+			t.Fatalf("LoadWrapper(%s) = %v, %v; want a *core.NullEntryError for %s", tc.data, w, err, tc.list)
+		}
 	}
 }
 
