@@ -1,6 +1,10 @@
 # Pre-merge gate: `make check` runs exactly what a PR must keep green —
 # tier-1 (build + full test suite), vet, and the race-sensitive packages
-# under the race detector.
+# under the race detector.  The drift, relearn, smoke and scenario gates
+# are covered by those two runs (their tests live in packages that `test`
+# runs and, except the binary smokes, that `race` runs too), so check
+# does not run them a third time; their targets stay for running one
+# gate on its own.
 
 GO ?= go
 
@@ -19,16 +23,16 @@ vet:
 
 # The concurrency-heavy packages — observability, the service layer, the
 # tree-distance cache, fingerprinting, the worker pool, the parallel
-# pipeline stages and the pooled parse/prune/render/apply fast path — run
-# under the race detector, plus the end-to-end differential tests that pin
-# the cached/parallel, pooled-arena and compiled outputs to their
-# reference paths.
+# pipeline stages, the pooled parse/prune/render/apply fast path and the
+# in-process scenario replay — run under the race detector, plus the
+# end-to-end differential tests that pin the cached/parallel,
+# pooled-arena and compiled outputs to their reference paths.
 race:
 	$(GO) test -race ./internal/obs ./internal/quality ./internal/relearn \
 		./internal/serve \
 		./internal/editdist ./internal/dom ./internal/par ./internal/cluster \
 		./internal/core ./internal/htmlparse ./internal/layout ./internal/wrapper \
-		./internal/prune
+		./internal/prune ./internal/scenario
 	$(GO) test -race -run 'TestDifferential' .
 
 # drift replays the synthetic drift schedule through the full HTTP stack:
@@ -63,7 +67,7 @@ scenario:
 	$(GO) test -race -count=1 -run 'TestScenario' ./internal/scenario
 	$(GO) test -count=1 -run 'TestLoadgenSmoke' ./cmd/mse-loadgen
 
-check: build vet test race drift relearn smoke scenario
+check: build vet test race
 
 # stress storms the extraction service with hundreds of concurrent
 # deadline-bearing /extract requests under the race detector: admission

@@ -6,15 +6,13 @@
 //
 //	mse-bench [-table 1|2|3|stats|timing|ablation|baseline|all] [-seed 2006]
 //	          [-engines 119] [-multi 38] [-trace] [-parallelism N]
-//	          [-no-tree-cache]
 //
 // With -trace, a per-stage time breakdown of wrapper construction and
 // extraction (aggregated over the first ten engines) is appended —
 // together with the tree-distance cache counters and the effective worker
 // count — so a benchmark regression can be attributed to a specific
 // pipeline step.  -parallelism sets the pipeline worker count (0 =
-// GOMAXPROCS); -no-tree-cache disables tree-distance memoization and runs
-// the original uncached reference path.
+// GOMAXPROCS).
 package main
 
 import (
@@ -51,11 +49,7 @@ func main() {
 	multi := flag.Int("multi", 38, "number of multi-section engines")
 	trace := flag.Bool("trace", false, "append the per-stage pipeline time breakdown")
 	flag.IntVar(&parallelism, "parallelism", 0, "pipeline worker count (0 = GOMAXPROCS)")
-	cacheOff := flag.Bool("no-tree-cache", false, "disable tree-distance memoization (reference path)")
 	flag.Parse()
-	if *cacheOff {
-		editdist.SetCacheEnabled(false)
-	}
 
 	cfg := synth.Config{Seed: *seed, Engines: *engines, MultiSection: *multi, Queries: 10}
 	bed := synth.GenerateTestbed(cfg)
@@ -148,8 +142,8 @@ func printTrace(bed []*synth.Engine) {
 	}
 	cs := editdist.Stats().Sub(cs0)
 	fmt.Printf("\nparallelism: %d workers (flag %d; 0 = GOMAXPROCS)\n", par.Workers(parallelism), parallelism)
-	fmt.Printf("tree-distance cache: enabled=%v lookups=%d identical=%d hits=%d misses=%d early-exits=%d evictions=%d entries=%d hit-rate=%.1f%%\n",
-		editdist.CacheEnabled(), cs.Lookups, cs.Identical, cs.Hits, cs.Misses,
+	fmt.Printf("tree-distance cache: lookups=%d identical=%d hits=%d misses=%d early-exits=%d evictions=%d entries=%d hit-rate=%.1f%%\n",
+		cs.Lookups, cs.Identical, cs.Hits, cs.Misses,
 		cs.EarlyExits, cs.Evictions, cs.Entries, 100*cs.HitRate())
 }
 

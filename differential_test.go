@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"mse/internal/cluster"
 	"mse/internal/core"
+	"mse/internal/dom"
 	"mse/internal/editdist"
 	"mse/internal/htmlparse"
 	"mse/internal/layout"
@@ -16,31 +19,34 @@ import (
 	"mse/internal/wrapper"
 )
 
-// TestDifferentialCacheAndParallelism is the end-to-end soundness check for
-// this PR's performance work: for every engine of a small synthetic test
-// bed, the pipeline run with tree-distance memoization on and the
-// data-parallel stages fanned out over four workers must produce
-// byte-identical wrappers and byte-identical extractions to the serial,
-// uncached reference path.  Any fingerprint collision, cache corruption or
-// scheduling-dependent arithmetic shows up as a diff here.
-func TestDifferentialCacheAndParallelism(t *testing.T) {
-	wasEnabled := editdist.CacheEnabled()
-	defer editdist.SetCacheEnabled(wasEnabled)
+// differentialBed is the small synthetic test bed the differential tests
+// share: eight engines, four of them multi-section, ten queries each.
+func differentialBed() []*synth.Engine {
+	return synth.GenerateTestbed(synth.Config{Seed: 2006, Engines: 8, MultiSection: 4, Queries: 10})
+}
 
-	bed := synth.GenerateTestbed(synth.Config{Seed: 2006, Engines: 8, MultiSection: 4, Queries: 10})
-	for ei, e := range bed {
+// TestDifferentialCacheAndParallelism is the end-to-end soundness check for
+// the tree-distance cache and the data-parallel stages: for every engine of
+// a small synthetic test bed, a serial run against a flushed (cold) cache
+// is the reference, and a serial and a four-worker run against the cache
+// it left warm must produce byte-identical wrappers and byte-identical
+// extractions.  Cache corruption or scheduling-dependent arithmetic shows
+// up as a diff here; fingerprint collisions and the cached values
+// themselves are checked against the exact distance by
+// TestTreeDistMatchesExactOnTestbed.
+func TestDifferentialCacheAndParallelism(t *testing.T) {
+	for ei, e := range differentialBed() {
 		var samples []*core.SamplePage
 		for q := 0; q < 5; q++ {
 			gp := e.Page(q)
 			samples = append(samples, &core.SamplePage{HTML: gp.HTML, Query: gp.Query})
 		}
-		run := func(cached bool, workers int) (wrapperJSON []byte, extractions [][]byte) {
-			editdist.SetCacheEnabled(cached)
+		run := func(name string, workers int) (wrapperJSON []byte, extractions [][]byte) {
 			opt := core.DefaultOptions()
 			opt.Parallelism = workers
 			ew, err := core.BuildWrapper(samples, opt)
 			if err != nil {
-				t.Fatalf("engine %d (cached=%v workers=%d): %v", ei, cached, workers, err)
+				t.Fatalf("engine %d (%s): %v", ei, name, err)
 			}
 			wj, err := json.Marshal(ew)
 			if err != nil {
@@ -57,16 +63,16 @@ func TestDifferentialCacheAndParallelism(t *testing.T) {
 			return wj, extractions
 		}
 
-		refWrapper, refPages := run(false, 1) // serial, uncached reference
+		editdist.ResetCache()
+		refWrapper, refPages := run("cold-serial", 1)
 		for _, variant := range []struct {
 			name    string
-			cached  bool
 			workers int
 		}{
-			{"cached-serial", true, 1},
-			{"cached-parallel", true, 4},
+			{"warm-serial", 1},
+			{"warm-parallel", 4},
 		} {
-			gotWrapper, gotPages := run(variant.cached, variant.workers)
+			gotWrapper, gotPages := run(variant.name, variant.workers)
 			if !bytes.Equal(gotWrapper, refWrapper) {
 				t.Errorf("engine %d: %s wrapper differs from reference\nref: %s\ngot: %s",
 					ei, variant.name, truncate(refWrapper), truncate(gotWrapper))
@@ -81,13 +87,81 @@ func TestDifferentialCacheAndParallelism(t *testing.T) {
 	}
 }
 
+// TestTreeDistMatchesExactOnTestbed checks the tree-distance cache against
+// the exact Zhang-Shasha distance over every element subtree of the
+// differential bed's fresh and drifted pages.  The cache trusts
+// fingerprint equality (distance 0, shared cache entries), so subtrees
+// with equal fingerprints must have equal preorder label serializations —
+// a collision would fail here.  On a deterministic sample of pairs of
+// small distinct subtrees (one per fingerprint), TreeDist must equal TreeEditDistance normalized by the larger size, and
+// WithinTreeDist must agree with the exact comparison at every threshold.
+func TestTreeDistMatchesExactOnTestbed(t *testing.T) {
+	var serialize func(sb *strings.Builder, n *dom.Node)
+	serialize = func(sb *strings.Builder, n *dom.Node) {
+		sb.WriteString(n.Label())
+		sb.WriteByte('(')
+		for c := n.FirstChild; c != nil; c = c.NextSibling {
+			serialize(sb, c)
+		}
+		sb.WriteByte(')')
+	}
+	seen := map[dom.Fingerprint]string{}
+	var small []*dom.Node
+	subtrees := 0
+	for ei, e := range differentialBed() {
+		for _, src := range []*synth.Engine{e, e.Drifted()} {
+			for q := 0; q < 10; q++ {
+				htmlparse.Parse(src.Page(q).HTML).Walk(func(n *dom.Node) bool {
+					if n.Type != dom.ElementNode {
+						return true
+					}
+					subtrees++
+					var sb strings.Builder
+					serialize(&sb, n)
+					fp := n.Fingerprint()
+					prev, ok := seen[fp]
+					if !ok {
+						seen[fp] = sb.String()
+						if fp.Size <= 32 {
+							small = append(small, n)
+						}
+					} else if prev != sb.String() {
+						t.Fatalf("engine %d page %d: fingerprint collision %+v:\n%.200s\n%.200s",
+							ei, q, fp, prev, sb.String())
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	r := rand.New(rand.NewSource(2006))
+	const pairs = 3000
+	for i := 0; i < pairs; i++ {
+		a, b := small[r.Intn(len(small))], small[r.Intn(len(small))]
+		maxSize := a.Size()
+		if s := b.Size(); s > maxSize {
+			maxSize = s
+		}
+		exact := float64(editdist.TreeEditDistance(a, b)) / float64(maxSize)
+		if got := editdist.TreeDist(a, b); got != exact {
+			t.Fatalf("pair %d: TreeDist = %v, exact %v", i, got, exact)
+		}
+		for k := 0; k <= 10; k++ {
+			eps := float64(k) / 10
+			if got, want := editdist.WithinTreeDist(a, b, eps), exact <= eps; got != want {
+				t.Fatalf("pair %d: WithinTreeDist(eps=%v) = %v, exact %v", i, eps, got, exact)
+			}
+		}
+	}
+	t.Logf("%d element subtrees, %d distinct fingerprints (%d small); %d pairs checked",
+		subtrees, len(seen), len(small), pairs)
+}
+
 // TestDifferentialCacheHitRepeatability re-runs one engine's pipeline with a
 // warm cache: answers served from resident entries must reproduce the
 // first (cache-filling) run exactly.
 func TestDifferentialCacheHitRepeatability(t *testing.T) {
-	wasEnabled := editdist.CacheEnabled()
-	defer editdist.SetCacheEnabled(wasEnabled)
-	editdist.SetCacheEnabled(true)
 	editdist.ResetCache()
 
 	e := synth.NewEngine(2006, 1, true)
@@ -135,8 +209,7 @@ func truncate(b []byte) string {
 // aliasing, stale pooled state or a divergence in the byte-oriented text
 // normalization all show up as a diff here.
 func TestDifferentialArenas(t *testing.T) {
-	bed := synth.GenerateTestbed(synth.Config{Seed: 2006, Engines: 8, MultiSection: 4, Queries: 10})
-	for ei, e := range bed {
+	for ei, e := range differentialBed() {
 		var samples []*core.SamplePage
 		for q := 0; q < 5; q++ {
 			gp := e.Page(q)

@@ -131,17 +131,12 @@ func (ew *EngineWrapper) Compile() {
 	}
 	for _, f := range ew.Families {
 		ce.fams = append(ce.fams, wrapper.CompileFamily(f))
-		switch f.Type {
-		case wrapper.Type1:
-			ce.specs = append(ce.specs, prune.Spec{Path: f.Pref, Wildcard: -1})
-		case wrapper.Type2:
+		// Decoding rejects any family type but 1 and 2 (wrapper.RangeError).
+		if f.Type == wrapper.Type2 {
 			pat := append(append(dom.CompactPath(nil), f.Pref...), f.SPref...)
 			ce.specs = append(ce.specs, prune.Spec{Path: pat, Wildcard: len(f.Pref)})
-		default:
-			// Unknown family type (corrupt JSON): Family.Apply would return
-			// nil, so give it a spec no document node can match to keep the
-			// index alignment without producing candidates.
-			ce.specs = append(ce.specs, prune.Spec{Path: dom.CompactPath{{Tag: "\x00none"}}, Wildcard: -1})
+		} else {
+			ce.specs = append(ce.specs, prune.Spec{Path: f.Pref, Wildcard: -1})
 		}
 	}
 	ew.compiled.Store(ce)
@@ -265,13 +260,12 @@ func BuildWrapper(samples []*SamplePage, opt Options) (*EngineWrapper, error) {
 	}
 	root.Count("tree_dist_calls", editdist.TreeCalls()-edCalls)
 	root.Count("parallel_workers", int64(par.Workers(opt.Parallelism)))
-	if cs := editdist.Stats().Sub(cs0); editdist.CacheEnabled() {
-		root.Count("tree_cache_lookups", cs.Lookups)
-		root.Count("tree_cache_hits", cs.Hits)
-		root.Count("tree_cache_identical", cs.Identical)
-		root.Count("tree_cache_early_exits", cs.EarlyExits)
-		root.Count("tree_cache_evictions", cs.Evictions)
-	}
+	cs := editdist.Stats().Sub(cs0)
+	root.Count("tree_cache_lookups", cs.Lookups)
+	root.Count("tree_cache_hits", cs.Hits)
+	root.Count("tree_cache_identical", cs.Identical)
+	root.Count("tree_cache_early_exits", cs.EarlyExits)
+	root.Count("tree_cache_evictions", cs.Evictions)
 	return &EngineWrapper{Wrappers: ws, Families: fams, opt: opt}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mse/internal/editdist"
 	"mse/internal/obs"
 	"mse/internal/synth"
 )
@@ -22,8 +23,11 @@ func obsSamples(t testing.TB) []*SamplePage {
 // TestBuildWrapperSpans asserts the tentpole tracing contract: one
 // build_wrapper root per call, exactly one child span per pipeline step,
 // child durations summing to no more than the root, and the stage
-// counters populated.
+// counters populated.  The counters describe a cold build, so the
+// process-wide tree-distance cache is flushed first: a run warmed by an
+// earlier test (or -count>1) would answer every distance from the cache.
 func TestBuildWrapperSpans(t *testing.T) {
+	editdist.ResetCache()
 	samples := obsSamples(t)
 	opt := DefaultOptions()
 	opt.Obs = obs.NewTracer()

@@ -18,14 +18,16 @@ package editdist
 //     dynamic program outright;
 //   - everything else is answered from the cache or computed once.
 //
+// Memoization is always on: a cached value is the exact Zhang-Shasha
+// distance, so there is no second algorithm to select.  The reference is
+// TreeEditDistance itself; the tests compare TreeDist and WithinTreeDist
+// with it pointwise and check that equal fingerprints imply equal label
+// serializations over the synthetic test bed.
+//
 // The cache is sharded (lock striping) and bounded: a full shard evicts an
 // arbitrary resident entry per insert.  Eviction order is map-iteration
 // arbitrary, which is safe because cached values are exact — any
 // replacement policy yields identical results, only different hit rates.
-//
-// SetCacheEnabled(false) restores the exact pre-memoization code path
-// (fresh dynamic program per call, sizes via Node.Size); the differential
-// tests compare the two paths for byte-identical pipeline output.
 
 import (
 	"sync"
@@ -68,30 +70,12 @@ type distCache struct {
 	evictions  atomic.Int64
 }
 
-var (
-	cache        distCache
-	cacheEnabled atomic.Bool
-)
+var cache distCache
 
 func init() {
-	cacheEnabled.Store(true)
 	cache.perShard.Store(int64(DefaultCacheCapacity / cacheShardCount))
 	for i := range cache.shards {
 		cache.shards[i].m = make(map[pairKey]float64)
-	}
-}
-
-// CacheEnabled reports whether tree-distance memoization is on.
-func CacheEnabled() bool { return cacheEnabled.Load() }
-
-// SetCacheEnabled toggles tree-distance memoization process-wide.  Turning
-// it off flushes resident entries and routes every TreeDist call through
-// the original uncached dynamic program — the reference path used by the
-// differential tests.  Counters are not reset; use ResetCache for that.
-func SetCacheEnabled(on bool) {
-	cacheEnabled.Store(on)
-	if !on {
-		flushCache()
 	}
 }
 
@@ -228,8 +212,7 @@ func (c *distCache) put(k pairKey, v float64) {
 // paying for the exact distance: identical fingerprints answer true and
 // the size-ratio lower bound — an edit script must at least insert or
 // delete the size difference, so Dt >= |s1-s2|/max(s1,s2) — answers false,
-// both before running the dynamic program.  With memoization disabled it
-// degenerates to the exact comparison.
+// both before running the dynamic program.
 func WithinTreeDist(t1, t2 *dom.Node, eps float64) bool {
 	if t1 == nil && t2 == nil {
 		return eps >= 0
@@ -237,19 +220,17 @@ func WithinTreeDist(t1, t2 *dom.Node, eps float64) bool {
 	if t1 == nil || t2 == nil {
 		return eps >= 1
 	}
-	if cacheEnabled.Load() {
-		f1, f2 := t1.Fingerprint(), t2.Fingerprint()
-		if f1 == f2 {
-			return eps >= 0
-		}
-		lo, hi := f1.Size, f2.Size
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if hi > 0 && float64(hi-lo)/float64(hi) > eps {
-			cache.earlyExits.Add(1)
-			return false
-		}
+	f1, f2 := t1.Fingerprint(), t2.Fingerprint()
+	if f1 == f2 {
+		return eps >= 0
+	}
+	lo, hi := f1.Size, f2.Size
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if hi > 0 && float64(hi-lo)/float64(hi) > eps {
+		cache.earlyExits.Add(1)
+		return false
 	}
 	return TreeDist(t1, t2) <= eps
 }

@@ -22,17 +22,25 @@ func randTree(r *rand.Rand, depth int) *dom.Node {
 	return n
 }
 
-// withCacheState runs fn and restores the cache's enabled state, capacity
-// and contents afterwards, so tests can toggle the global cache freely.
+// withCacheState runs fn and restores the cache's capacity and contents
+// afterwards, so tests can resize and flush the global cache freely.
 func withCacheState(t *testing.T, fn func()) {
 	t.Helper()
-	was := CacheEnabled()
 	defer func() {
-		SetCacheEnabled(was)
 		SetCacheCapacity(DefaultCacheCapacity)
 		ResetCache()
 	}()
 	fn()
+}
+
+// exactDist is the reference TreeDist: the uncached Zhang-Shasha distance
+// normalized by the larger tree's size.
+func exactDist(a, b *dom.Node) float64 {
+	maxSize := a.Size()
+	if s := b.Size(); s > maxSize {
+		maxSize = s
+	}
+	return float64(TreeEditDistance(a, b)) / float64(maxSize)
 }
 
 // TestTreeDistCachedMatchesUncached is the differential test at the
@@ -47,7 +55,6 @@ func TestTreeDistCachedMatchesUncached(t *testing.T) {
 		}
 		type pairResult struct{ cached, direct float64 }
 		results := make([]pairResult, 0, len(trees)*len(trees))
-		SetCacheEnabled(true)
 		ResetCache()
 		for _, a := range trees {
 			for _, b := range trees {
@@ -64,11 +71,10 @@ func TestTreeDistCachedMatchesUncached(t *testing.T) {
 				k++
 			}
 		}
-		SetCacheEnabled(false)
 		k = 0
 		for _, a := range trees {
 			for _, b := range trees {
-				results[k].direct = TreeDist(a, b)
+				results[k].direct = exactDist(a, b)
 				k++
 			}
 		}
@@ -82,15 +88,12 @@ func TestTreeDistCachedMatchesUncached(t *testing.T) {
 
 func TestWithinTreeDistMatchesExact(t *testing.T) {
 	withCacheState(t, func() {
-		SetCacheEnabled(true)
 		ResetCache()
 		r := rand.New(rand.NewSource(7))
 		for i := 0; i < 300; i++ {
 			a, b := randTree(r, 3), randTree(r, 3)
 			eps := float64(r.Intn(11)) / 10
-			SetCacheEnabled(false)
-			want := TreeDist(a, b) <= eps
-			SetCacheEnabled(true)
+			want := exactDist(a, b) <= eps
 			if got := WithinTreeDist(a, b, eps); got != want {
 				t.Fatalf("WithinTreeDist(%d, eps=%v) = %v, exact says %v", i, eps, got, want)
 			}
@@ -100,7 +103,6 @@ func TestWithinTreeDistMatchesExact(t *testing.T) {
 
 func TestCacheSymmetric(t *testing.T) {
 	withCacheState(t, func() {
-		SetCacheEnabled(true)
 		ResetCache()
 		r := rand.New(rand.NewSource(3))
 		a, b := randTree(r, 3), randTree(r, 3)
@@ -119,7 +121,6 @@ func TestCacheSymmetric(t *testing.T) {
 
 func TestCacheEvictionBound(t *testing.T) {
 	withCacheState(t, func() {
-		SetCacheEnabled(true)
 		SetCacheCapacity(cacheShardCount) // one entry per shard
 		ResetCache()
 		r := rand.New(rand.NewSource(11))
@@ -138,7 +139,6 @@ func TestCacheEvictionBound(t *testing.T) {
 
 func TestCacheStatsAccounting(t *testing.T) {
 	withCacheState(t, func() {
-		SetCacheEnabled(true)
 		ResetCache()
 		a := randTree(rand.New(rand.NewSource(5)), 3)
 		b := a.Clone()
@@ -169,7 +169,6 @@ func TestCacheStatsAccounting(t *testing.T) {
 // that racing computes agree.
 func TestCacheConcurrent(t *testing.T) {
 	withCacheState(t, func() {
-		SetCacheEnabled(true)
 		SetCacheCapacity(256) // small: forces concurrent evictions too
 		ResetCache()
 		r := rand.New(rand.NewSource(13))
@@ -178,13 +177,11 @@ func TestCacheConcurrent(t *testing.T) {
 			trees[i] = randTree(r, 3)
 		}
 		want := make(map[[2]int]float64)
-		SetCacheEnabled(false)
 		for i := range trees {
 			for j := range trees {
-				want[[2]int{i, j}] = TreeDist(trees[i], trees[j])
+				want[[2]int{i, j}] = exactDist(trees[i], trees[j])
 			}
 		}
-		SetCacheEnabled(true)
 		var wg sync.WaitGroup
 		errs := make(chan string, 8)
 		for w := 0; w < 8; w++ {
@@ -196,7 +193,7 @@ func TestCacheConcurrent(t *testing.T) {
 					i, j := lr.Intn(len(trees)), lr.Intn(len(trees))
 					if got := TreeDist(trees[i], trees[j]); got != want[[2]int{i, j}] {
 						select {
-						case errs <- "concurrent TreeDist diverged from serial value":
+						case errs <- "concurrent TreeDist diverged from the exact distance":
 						default:
 						}
 						return

@@ -266,16 +266,6 @@ func TreeDistCancel(t1, t2 *dom.Node, tok *cancel.Token) float64 {
 	if t1 == nil || t2 == nil {
 		return 1
 	}
-	if !cacheEnabled.Load() {
-		maxSize := t1.Size()
-		if s := t2.Size(); s > maxSize {
-			maxSize = s
-		}
-		if maxSize == 0 {
-			return 0
-		}
-		return float64(TreeEditDistanceCancel(t1, t2, tok)) / float64(maxSize)
-	}
 	f1, f2 := t1.Fingerprint(), t2.Fingerprint()
 	cache.lookups.Add(1)
 	if f1 == f2 {

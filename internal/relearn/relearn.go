@@ -295,9 +295,10 @@ func (c *Controller) engineLocked(engine string) *engineState {
 }
 
 // ObservePage samples one served page into the engine's reservoir.  It is
-// the serving path's feed: call it after the response has been written,
-// handing over the request's own body copy (the string is retained, not
-// copied).  Nil-safe and never blocks on job work.
+// the serving path's feed, handed the request's own body copy (the string
+// is retained, not copied).  Feed a page before reporting its drift
+// verdict, so a job that page triggers trains on it.  Nil-safe and never
+// blocks on job work.
 func (c *Controller) ObservePage(engine, html string, query []string) {
 	if c == nil {
 		return

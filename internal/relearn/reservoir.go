@@ -45,8 +45,7 @@ func newReservoir(maxBytes int64, maxPages int) *reservoir {
 }
 
 // add samples one served page.  The html string is retained, not copied —
-// the caller hands over its one per-request body copy after the response
-// has been written.  A page alone larger than the byte budget is skipped
+// the caller hands over its one per-request body copy.  A page alone larger than the byte budget is skipped
 // (it would evict the whole reservoir for one page).
 func (r *reservoir) add(html string, query []string) {
 	if int64(len(html)) > r.maxBytes {

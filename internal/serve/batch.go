@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"mse/internal/excache"
@@ -54,23 +53,6 @@ type batchItemResult struct {
 // batchResponse is the wire form of POST /extract/batch.
 type batchResponse struct {
 	Results []batchItemResult `json:"results"`
-}
-
-// batchJob is one unique content address within a batch: the first item
-// with a given (engine, generation, hash) extracts, every duplicate index
-// shares its result.
-type batchJob struct {
-	key         excache.Key
-	engine      string
-	ent         *engineEntry
-	html        string
-	query       []string
-	idxs        []int
-	root        *obs.Span
-	out         extractOutcome
-	status      int
-	errMsg      string
-	queueWaitMs float64
 }
 
 // decodeBatch accepts either {"items":[...]} or a bare JSON array.
@@ -134,78 +116,42 @@ func (r *Registry) handleExtractBatch(w http.ResponseWriter, req *http.Request) 
 	rid := RequestID(req.Context())
 	start := time.Now()
 
-	results := make([]batchItemResult, len(items))
+	// Validation + dedupe pass: every item either fails early (missing,
+	// misrouted or unknown engine, oversized page) or joins the job for its
+	// content address; lead[i] is the index of that job's first item.
+	// Duplicates within the batch collapse before any cache or pipeline
+	// work happens.
+	pages := make([]page, len(items))
 	jevs := make([]*JournalEvent, len(items))
-	itemJob := make([]*batchJob, len(items))
-	byKey := map[excache.Key]*batchJob{}
-	var jobs []*batchJob
-
-	// Validation + dedupe pass: every item either fails early (unknown or
-	// misrouted engine, oversized page) or joins the job for its content
-	// address.  Duplicates within the batch collapse before any cache or
-	// pipeline work happens.
+	lead := make([]int, len(items))
+	byKey := map[excache.Key]int{}
+	var jobs []*page
 	for i, it := range items {
-		name := it.Engine
-		if name == "" {
-			name = defaultEngine
+		lead[i] = i
+		p := &pages[i]
+		p.name, p.html, p.query = it.Engine, it.HTML, parseQuery(it.Query)
+		if p.name == "" {
+			p.name = defaultEngine
 		}
-		results[i].Engine = name
 		if r.journal.Sample() {
-			jevs[i] = &JournalEvent{RequestID: rid, Engine: name, Batch: true, BatchIndex: i}
+			jevs[i] = &JournalEvent{RequestID: rid, Engine: p.name, Batch: true, BatchIndex: i}
 		}
-		if name == "" {
-			r.metrics.errors.Inc()
-			results[i].Status = http.StatusBadRequest
-			results[i].Error = "missing engine (set item engine or ?engine=)"
+		if p.err = r.lookup(p); p.err != nil {
 			continue
 		}
-		if !r.Owns(name) {
-			r.metrics.misrouted.Inc()
-			owner := r.ring.Owner(name)
-			_, total, _ := r.ShardInfo()
-			results[i].Status = http.StatusMisdirectedRequest
-			results[i].OwnerShard = &owner
-			results[i].Error = fmt.Sprintf("engine %q is owned by shard %d/%d", name, owner, total)
+		if p.err = r.checkSize(p, len(p.html)); p.err != nil {
 			continue
 		}
-		ent, ok := r.get(name)
-		if !ok {
-			r.metrics.errors.Inc()
-			results[i].Status = http.StatusNotFound
-			results[i].Error = fmt.Sprintf("unknown engine %q", name)
-			continue
+		l, dup := byKey[p.cacheKey()]
+		if !dup {
+			l = i
+			byKey[p.key] = i
+			jobs = append(jobs, p)
 		}
-		if len(it.HTML) > MaxPageBytes {
-			r.metrics.engine(name).errors.Inc()
-			r.metrics.errors.Inc()
-			results[i].Status = http.StatusRequestEntityTooLarge
-			results[i].Error = fmt.Sprintf("page exceeds %d bytes", MaxPageBytes)
-			continue
-		}
-		r.metrics.engine(name).requests.Inc()
-		var query []string
-		if it.Query != "" {
-			query = strings.FieldsFunc(it.Query, func(r rune) bool { return r == '+' || r == ' ' })
-		}
-		key := excache.Key{Engine: name, Gen: ent.gen, Hash: excache.HashPage(it.HTML, query)}
-		if j := byKey[key]; j != nil {
-			j.idxs = append(j.idxs, i)
-			itemJob[i] = j
-			continue
-		}
-		j := &batchJob{key: key, engine: name, ent: ent, html: it.HTML, query: query, idxs: []int{i}}
-		byKey[key] = j
-		itemJob[i] = j
-		jobs = append(jobs, j)
-	}
-
-	// A job gets a span tree only when some item of it will be journaled.
-	for _, j := range jobs {
-		for _, i := range j.idxs {
-			if jevs[i] != nil {
-				j.root = obs.NewSpan(obs.RootExtract)
-				break
-			}
+		lead[i] = l
+		// A job gets a span tree only when some item of it is journaled.
+		if jevs[i] != nil && pages[l].root == nil {
+			pages[l].root = obs.NewSpan(obs.RootExtract)
 		}
 	}
 
@@ -216,97 +162,58 @@ func (r *Registry) handleExtractBatch(w http.ResponseWriter, req *http.Request) 
 	// the deferred release runs during the unwind, so no slot leaks.
 	ctx := req.Context()
 	par.ForEachIndex(len(jobs), par.Workers(0), func(n int) {
-		j := jobs[n]
-		em := r.metrics.engine(j.engine)
-		wait, err := r.limiter.acquire(ctx)
-		r.metrics.queueWait.Observe(wait)
-		j.queueWaitMs = float64(wait) / float64(time.Millisecond)
-		if err != nil {
-			if errors.Is(err, errShed) {
-				r.metrics.shed.Inc()
-				j.status = http.StatusTooManyRequests
-				j.errMsg = "server at capacity, retry later"
-			} else {
-				r.metrics.canceled.Inc()
-				j.status = statusClientClosedRequest
-				j.errMsg = "request canceled while queued"
-			}
+		p := jobs[n]
+		if p.err = r.admit(ctx, p); p.err != nil {
 			return
 		}
-		defer r.limiter.release()
-		r.metrics.extractInFlight.Add(1)
-		defer r.metrics.extractInFlight.Add(-1)
-		out, err := r.extractEntry(ctx, j.engine, j.ent, em, j.html, j.query, j.root)
-		j.out = out
-		if err != nil {
-			j.status, j.errMsg = r.extractErrorStatus(ctx, err)
-			return
-		}
-		j.status = http.StatusOK
+		defer r.release()
+		p.err = r.extract(ctx, p)
 	})
 
-	// Assembly: fan each job's outcome back to its item indices.  Every
-	// index after the first (and every index of a job that hit the cache)
-	// was served without pipeline work, which the served-totals counters
-	// and the per-item cached flag both reflect.
-	for i := range items {
-		j := itemJob[i]
-		if j == nil {
-			continue // early validation error, result already written
-		}
-		if j.status != http.StatusOK {
-			results[i].Status = j.status
-			results[i].Error = j.errMsg
-			continue
-		}
-		cached := j.out.cached || i != j.idxs[0]
-		if cached {
-			em := r.metrics.engine(j.engine)
-			em.sections.Add(int64(j.out.entry.Sections))
-			em.records.Add(int64(j.out.entry.Records))
-		}
-		results[i].Status = http.StatusOK
-		results[i].Cached = cached
-		results[i].Result = json.RawMessage(j.out.entry.Body)
-	}
-
-	// Journal pass: one sub-item event per sampled index, all carrying the
-	// batch request's correlation ID.
+	// Assembly: every duplicate takes its job's outcome.  It was served
+	// without pipeline work, which the served totals and the per-item
+	// cached flag both reflect.  Then one sub-item journal event per
+	// sampled index, all carrying the batch request's correlation ID.
+	results := make([]batchItemResult, len(items))
 	totalMs := float64(time.Since(start)) / float64(time.Millisecond)
-	for i, jev := range jevs {
-		if jev == nil {
-			continue
-		}
-		jev.Time = nowRFC3339()
-		jev.Status = results[i].Status
-		jev.Error = results[i].Error
-		jev.PageBytes = len(items[i].HTML)
-		jev.PageHash = pageHash(items[i].HTML)
-		jev.TotalMs = totalMs
-		if j := itemJob[i]; j != nil {
-			jev.Query = j.query
-			jev.QueueWaitMs = j.queueWaitMs
-			if j.status == http.StatusOK {
-				jev.Sections = j.out.entry.Sections
-				jev.Records = j.out.entry.Records
-				jev.Cached = results[i].Cached
+	for i := range pages {
+		p := &pages[i]
+		if l := lead[i]; l != i {
+			*p = pages[l]
+			if p.err == nil {
+				p.cached = true
+				p.em.served(p.entry)
 			}
-			if j.out.assessed {
-				journalQuality(jev, j.out.assessment)
-			}
-			jev.StagesMs = stageTimings(j.root)
 		}
-		r.journal.Write(*jev)
+		results[i] = p.result()
+		if jev := jevs[i]; jev != nil {
+			jev.Time = nowRFC3339()
+			jev.Status = results[i].Status
+			jev.TotalMs = totalMs
+			p.journal(jev)
+			r.journal.Write(*jev)
+		}
 	}
 
 	writeBatchResponse(w, results)
-	// Reservoir feed, after the response is out (exactly as /extract):
-	// each successfully extracted unique page is a relearn sample.
-	for _, j := range jobs {
-		if j.status == http.StatusOK {
-			r.feedRelearn(j.engine, j.html, j.query)
+}
+
+// result is the page's batch item: the status it would have received on
+// /extract and, on 200, the byte-identical /extract body.
+func (p *page) result() batchItemResult {
+	res := batchItemResult{Engine: p.name}
+	if e := p.err; e != nil {
+		res.Status, res.Error = e.status, e.msg
+		if e.status == http.StatusMisdirectedRequest {
+			owner := e.owner
+			res.OwnerShard = &owner
 		}
+		return res
 	}
+	res.Status = http.StatusOK
+	res.Cached = p.cached
+	res.Result = json.RawMessage(p.entry.Body)
+	return res
 }
 
 // writeBatchResponse assembles the batch response by hand.  Each OK item's

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -250,6 +251,69 @@ func TestBatchMatchesSingle(t *testing.T) {
 	}
 	if got := br.Results[3]; got.Status != http.StatusNotFound || got.Error == "" {
 		t.Errorf("unknown-engine item = %+v, want 404 with error", got)
+	}
+
+	// Error classes: /extract and a one-item batch must give the page the
+	// same status and move every counter — per engine and global — by the
+	// same amount; only the batch.* counters tell the two apart.
+	counters := func() map[string]int64 { return reg.Metrics().Registry().Snapshot().Counters }
+	delta := func(before, after map[string]int64) map[string]int64 {
+		d := map[string]int64{}
+		for k, v := range after {
+			if v != before[k] && !strings.HasPrefix(k, "batch.") {
+				d[k] = v - before[k]
+			}
+		}
+		return d
+	}
+	q := strings.Join(pa.Query, "+")
+	for _, tc := range []struct {
+		name, engine, html string
+		status             int
+	}{
+		{"missing engine", "", pa.HTML, http.StatusBadRequest},
+		{"unknown engine", "nosuch", pa.HTML, http.StatusNotFound},
+		{"oversized page", "demo", strings.Repeat("x", MaxPageBytes+1), http.StatusRequestEntityTooLarge},
+		{"misrouted", "demo", pa.HTML, http.StatusMisdirectedRequest}, // last: moves the shard
+	} {
+		if tc.status == http.StatusMisdirectedRequest {
+			owner := shard.NewRing(3).Owner("demo")
+			if err := reg.SetShard((owner+1)%3, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := counters()
+		resp, err := http.Post(srv.URL+"/extract?engine="+tc.engine+"&q="+q, "text/html", strings.NewReader(tc.html))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: /extract status = %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+		mid := counters()
+		single := delta(before, mid)
+		body, _ := json.Marshal(map[string]any{"items": []map[string]any{{"engine": tc.engine, "q": q, "html": tc.html}}})
+		resp, err = http.Post(srv.URL+"/extract/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br batchResponse
+		err = json.NewDecoder(resp.Body).Decode(&br)
+		resp.Body.Close()
+		if err != nil || len(br.Results) != 1 {
+			t.Fatalf("%s: batch results = %+v, %v", tc.name, br.Results, err)
+		}
+		batched := delta(mid, counters())
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: batch status = %d", tc.name, resp.StatusCode)
+		}
+		if got := br.Results[0].Status; got != tc.status {
+			t.Errorf("%s: batch item status = %d, want %d", tc.name, got, tc.status)
+		}
+		if !reflect.DeepEqual(single, batched) {
+			t.Errorf("%s: counter deltas differ\n/extract: %v\nbatch:    %v", tc.name, single, batched)
+		}
 	}
 }
 

@@ -87,6 +87,12 @@ func (em *engineMetrics) applyQuality(a quality.Assessment) {
 	em.anomalyBP.Set(int64(a.AnomalyRate * 10000))
 }
 
+// served adds a served response's sections and records to the totals.
+func (em *engineMetrics) served(e *excache.Entry) {
+	em.sections.Add(int64(e.Sections))
+	em.records.Add(int64(e.Records))
+}
+
 // NewMetrics returns an empty metrics set with its uptime clock started.
 func NewMetrics() *Metrics {
 	reg := obs.NewRegistry()
@@ -203,18 +209,13 @@ func poolsSnapshot() *poolsJSON {
 
 // treeCacheJSON reports the process-wide tree-distance memoization cache.
 type treeCacheJSON struct {
-	Enabled bool    `json:"enabled"`
 	HitRate float64 `json:"hit_rate"`
 	editdist.CacheStats
 }
 
 func treeCacheSnapshot() *treeCacheJSON {
 	s := editdist.Stats()
-	return &treeCacheJSON{
-		Enabled:    editdist.CacheEnabled(),
-		HitRate:    s.HitRate(),
-		CacheStats: s,
-	}
+	return &treeCacheJSON{HitRate: s.HitRate(), CacheStats: s}
 }
 
 // snapshot returns the /metrics payload.  c is the registry's extraction
@@ -304,8 +305,8 @@ func (m *Metrics) writeStatusz(w io.Writer, info StatusInfo) {
 		info.RelearnOn, rs.Jobs, rs.Failures, rs.CanaryRejects, rs.Swaps,
 		rs.Degraded, rs.Active, rs.ReservoirPages, rs.ReservoirBytes)
 	tc := treeCacheSnapshot()
-	fmt.Fprintf(w, "tree-cache: enabled=%v entries=%d lookups=%d identical=%d hits=%d misses=%d early-exits=%d evictions=%d hit-rate=%.1f%%\n",
-		tc.Enabled, tc.Entries, tc.Lookups, tc.Identical, tc.Hits, tc.Misses,
+	fmt.Fprintf(w, "tree-cache: entries=%d lookups=%d identical=%d hits=%d misses=%d early-exits=%d evictions=%d hit-rate=%.1f%%\n",
+		tc.Entries, tc.Lookups, tc.Identical, tc.Hits, tc.Misses,
 		tc.EarlyExits, tc.Evictions, 100*tc.HitRate)
 	ps := poolsSnapshot()
 	fmt.Fprintf(w, "pools: parse(acquires=%d reuses=%d releases=%d reuse-rate=%.1f%%) render(acquires=%d reuses=%d releases=%d reuse-rate=%.1f%%) apply(acquires=%d reuses=%d reuse-rate=%.1f%%)\n",

@@ -2,8 +2,8 @@ package serve
 
 // Self-healing wrapper lifecycle: the serve-side wiring of
 // internal/relearn.  The registry feeds served pages into the controller's
-// per-engine reservoirs (after the response is written — never on the
-// request's critical path), the drift tracker's verdict hook schedules
+// per-engine reservoirs (a hash and an append per page, before the drift
+// detector sees the page), the drift tracker's verdict hook schedules
 // relearn jobs, and a canary-validated candidate swaps in through the same
 // Registry.Add path an operator would use — generation bump, cache
 // invalidation, quality-baseline reset and snapshot persistence included.
@@ -15,7 +15,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -86,11 +85,11 @@ func (r *Registry) wireQualityHook() {
 }
 
 // feedRelearn samples one successfully served page into the engine's
-// relearn reservoir.  Callers invoke it after the response bytes are out:
-// the html string is the request's own body copy, handed over rather than
-// re-copied, and a slow reservoir (there isn't one — it is a hash and an
-// append) could still never stretch a client-visible latency.  Nil-safe
-// when relearn is disabled.
+// relearn reservoir: the html string is the request's own body copy,
+// handed over rather than re-copied, and the feed is a hash and an
+// append.  The extract step calls it before the drift detector observes
+// the page, so a relearn job the page itself triggers trains on it.
+// Nil-safe when relearn is disabled.
 func (r *Registry) feedRelearn(engine, html string, query []string) {
 	r.relearn.ObservePage(engine, html, query)
 }
@@ -184,13 +183,8 @@ func (r *Registry) handleRelearnTrigger(w http.ResponseWriter, req *http.Request
 		writeError(w, http.StatusConflict, name, "relearn is disabled (start with -relearn)")
 		return
 	}
-	if !r.Owns(name) {
-		r.writeMisrouted(w, name)
-		return
-	}
-	if _, ok := r.get(name); !ok {
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusNotFound, name, fmt.Sprintf("unknown engine %q", name))
+	if _, perr := r.resolve(name); perr != nil {
+		r.writePageError(w, name, perr)
 		return
 	}
 	st, err := r.relearn.Trigger(name)

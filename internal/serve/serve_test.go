@@ -12,6 +12,7 @@ import (
 
 	"mse/internal/core"
 	"mse/internal/synth"
+	"mse/internal/wrapper"
 )
 
 // testWrapper trains the demo wrapper once per test binary; every test
@@ -181,9 +182,10 @@ func TestRegistryAddRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestRegistryAddRejectsNullEntries: a null wrapper or family entry is a
-// typed load error, never a registered engine that panics on first use.
-// The same decode backs the -wrappers directory and snapshot restore.
+// TestRegistryAddRejectsNullEntries: a null wrapper or family entry, or an
+// out-of-range sep_roots, order or family type, is a typed load error,
+// never a registered engine that panics or misbehaves on first use.  The
+// same decode backs the -wrappers directory and snapshot restore.
 func TestRegistryAddRejectsNullEntries(t *testing.T) {
 	testRegistry(t) // trains the valid wrapper in testWrapper.data
 	var valid struct {
@@ -195,24 +197,37 @@ func TestRegistryAddRejectsNullEntries(t *testing.T) {
 	for _, tc := range []struct {
 		name, data, list string
 		index            int
+		field            string // set: want a *wrapper.RangeError naming it
 	}{
-		{"null wrapper", `{"wrappers":[null]}`, "wrappers", 0},
-		{"null family", `{"families":[null]}`, "families", 0},
-		{"null after valid wrapper", `{"wrappers":[` + string(valid.Wrappers[0]) + `,null]}`, "wrappers", 1},
-		{"null family beside wrappers", `{"wrappers":[` + string(valid.Wrappers[0]) + `],"families":[null]}`, "families", 0},
+		{name: "null wrapper", data: `{"wrappers":[null]}`, list: "wrappers", index: 0},
+		{name: "null family", data: `{"families":[null]}`, list: "families", index: 0},
+		{name: "null after valid wrapper", data: `{"wrappers":[` + string(valid.Wrappers[0]) + `,null]}`, list: "wrappers", index: 1},
+		{name: "null family beside wrappers", data: `{"wrappers":[` + string(valid.Wrappers[0]) + `],"families":[null]}`, list: "families", index: 0},
+		{name: "negative sep_roots", data: `{"wrappers":[{"pref":"","sep_roots":-7,"order":0}]}`, field: "sep_roots"},
+		{name: "negative order", data: `{"wrappers":[{"pref":"","order":-9}]}`, field: "order"},
+		{name: "family type -1", data: `{"families":[{"type":-1,"pref":""}]}`, field: "type"},
+		{name: "family type 3", data: `{"families":[{"type":3,"pref":""}]}`, field: "type"},
+		{name: "family negative sep_roots", data: `{"families":[{"type":1,"pref":"","sep_roots":-2}]}`, field: "sep_roots"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewRegistry(core.DefaultOptions())
 			err := reg.Add("bad", []byte(tc.data))
-			var ne *core.NullEntryError
-			if !errors.As(err, &ne) {
-				t.Fatalf("Add error = %v, want *core.NullEntryError", err)
-			}
-			if ne.List != tc.list || ne.Index != tc.index {
-				t.Fatalf("error names %s[%d], want %s[%d]", ne.List, ne.Index, tc.list, tc.index)
+			if tc.field != "" {
+				var re *wrapper.RangeError
+				if !errors.As(err, &re) || re.Field != tc.field {
+					t.Fatalf("Add error = %v, want a *wrapper.RangeError for %s", err, tc.field)
+				}
+			} else {
+				var ne *core.NullEntryError
+				if !errors.As(err, &ne) {
+					t.Fatalf("Add error = %v, want *core.NullEntryError", err)
+				}
+				if ne.List != tc.list || ne.Index != tc.index {
+					t.Fatalf("error names %s[%d], want %s[%d]", ne.List, ne.Index, tc.list, tc.index)
+				}
 			}
 			if len(reg.Names()) != 0 {
-				t.Fatalf("wrapper with a null entry registered")
+				t.Fatalf("invalid wrapper registered")
 			}
 		})
 	}

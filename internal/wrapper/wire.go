@@ -32,6 +32,19 @@ func fromWireAttrs(attrs []wireAttr) []layout.TextAttr {
 	return out
 }
 
+// RangeError reports a decoded wrapper or family field whose value is out
+// of range: a negative sep_roots or order, or a family type other than 1
+// or 2.  Every decode site goes through SectionWrapper.UnmarshalJSON or
+// Family.UnmarshalJSON, so such a file is rejected at load time.
+type RangeError struct {
+	Field string // "sep_roots", "order" or "type"
+	Value int
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("wrapper: %s = %d is out of range", e.Field, e.Value)
+}
+
 // wireWrapper is the JSON form of a SectionWrapper.
 type wireWrapper struct {
 	Pref        string     `json:"pref"`
@@ -68,6 +81,12 @@ func (w *SectionWrapper) UnmarshalJSON(data []byte) error {
 	var ww wireWrapper
 	if err := json.Unmarshal(data, &ww); err != nil {
 		return err
+	}
+	if ww.SepRoots < 0 {
+		return &RangeError{Field: "sep_roots", Value: ww.SepRoots}
+	}
+	if ww.Order < 0 {
+		return &RangeError{Field: "order", Value: ww.Order}
 	}
 	pref, err := dom.ParseCompactPath(ww.Pref)
 	if err != nil {
@@ -115,6 +134,12 @@ func (f *Family) UnmarshalJSON(data []byte) error {
 	var wf wireFamily
 	if err := json.Unmarshal(data, &wf); err != nil {
 		return err
+	}
+	if t := FamilyType(wf.Type); t != Type1 && t != Type2 {
+		return &RangeError{Field: "type", Value: wf.Type}
+	}
+	if wf.SepRoots < 0 {
+		return &RangeError{Field: "sep_roots", Value: wf.SepRoots}
 	}
 	pref, err := dom.ParseCompactPath(wf.Pref)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"mse/internal/core"
 	"mse/internal/synth"
+	"mse/internal/wrapper"
 )
 
 func trainOn(t *testing.T, e *synth.Engine, n int) *Wrapper {
@@ -89,17 +90,31 @@ func TestLoadWrapperRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadWrapperRejectsNullEntries: null wrapper or family entries fail
-// at load time with a typed error instead of panicking on first Extract.
+// TestLoadWrapperRejectsNullEntries: null wrapper or family entries and
+// out-of-range sep_roots, order or family type fail at load time with a
+// typed error instead of panicking or misbehaving on first Extract.
 func TestLoadWrapperRejectsNullEntries(t *testing.T) {
 	for _, tc := range []struct {
 		data, list string
+		field      string // set: want a *wrapper.RangeError naming it
 	}{
-		{`{"wrappers":[null]}`, "wrappers"},
-		{`{"families":[null]}`, "families"},
-		{`{"wrappers":[],"families":[null]}`, "families"},
+		{data: `{"wrappers":[null]}`, list: "wrappers"},
+		{data: `{"families":[null]}`, list: "families"},
+		{data: `{"wrappers":[],"families":[null]}`, list: "families"},
+		{data: `{"wrappers":[{"pref":"","sep_roots":-7,"order":0}]}`, field: "sep_roots"},
+		{data: `{"wrappers":[{"pref":"","order":-9}]}`, field: "order"},
+		{data: `{"families":[{"type":-1,"pref":""}]}`, field: "type"},
+		{data: `{"families":[{"type":0,"pref":""}]}`, field: "type"},
+		{data: `{"families":[{"type":2,"pref":"","sep_roots":-1}]}`, field: "sep_roots"},
 	} {
 		w, err := LoadWrapper([]byte(tc.data), nil)
+		if tc.field != "" {
+			var re *wrapper.RangeError
+			if !errors.As(err, &re) || re.Field != tc.field {
+				t.Fatalf("LoadWrapper(%s) = %v, %v; want a *wrapper.RangeError for %s", tc.data, w, err, tc.field)
+			}
+			continue
+		}
 		var ne *core.NullEntryError
 		if !errors.As(err, &ne) || ne.List != tc.list {
 			t.Fatalf("LoadWrapper(%s) = %v, %v; want a *core.NullEntryError for %s", tc.data, w, err, tc.list)
