@@ -4,9 +4,13 @@
 //
 // Usage:
 //
-//	mse-benchcmp                 # diff the two newest BENCH_*.json by mtime
+//	mse-benchcmp                 # diff the two newest BENCH_*.json
 //	mse-benchcmp OLD.json NEW.json
 //	mse-benchcmp -gate [-bench NAME] [-threshold 0.15] [-benchmarks REGEX]
+//
+// "Newest" goes by the name, not the file time (a checkout gives every
+// file the same mtime): by the date in BENCH_<date>[.<n>].json, then by
+// the numeric suffix, where no suffix counts as 1.
 //
 // Benchmarks present in only one of the runs are listed without deltas.
 // Repeated runs of the same benchmark within one file are averaged.
@@ -79,7 +83,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mse-benchcmp: need two BENCH_*.json files (found %d); run `make bench` twice or pass two files\n", len(files))
 			os.Exit(1)
 		}
-		sort.Slice(files, func(i, j int) bool { return mtime(files[i]) < mtime(files[j]) })
+		sortBenchFiles(files)
 		oldFile, newFile = files[len(files)-2], files[len(files)-1]
 	case 2:
 		oldFile, newFile = flag.Arg(0), flag.Arg(1)
@@ -173,12 +177,34 @@ func human(v float64) string {
 	}
 }
 
-func mtime(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
+// sortBenchFiles orders BENCH_<date>[.<n>].json paths oldest first: by
+// date, then by suffix n (none = 1), then by name.
+func sortBenchFiles(files []string) {
+	sort.Slice(files, func(i, j int) bool {
+		di, ni := benchOrder(files[i])
+		dj, nj := benchOrder(files[j])
+		if di != dj {
+			return di < dj
+		}
+		if ni != nj {
+			return ni < nj
+		}
+		return files[i] < files[j]
+	})
+}
+
+// benchOrder splits a BENCH_<date>[.<n>].json path into its date and
+// numeric suffix.
+func benchOrder(path string) (string, int) {
+	name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
+	date, suffix, ok := strings.Cut(name, ".")
+	n := 1
+	if ok {
+		if v, err := strconv.Atoi(suffix); err == nil {
+			n = v
+		}
 	}
-	return fi.ModTime().UnixNano()
+	return date, n
 }
 
 func fatal(err error) {
@@ -316,7 +342,7 @@ func runGate(bench string, threshold float64, enforce *regexp.Regexp) int {
 		fmt.Fprintln(os.Stderr, "mse-benchcmp: no BENCH_*.json baseline; run `make bench` and commit the snapshot")
 		return 1
 	}
-	sort.Slice(files, func(i, j int) bool { return mtime(files[i]) < mtime(files[j]) })
+	sortBenchFiles(files)
 	baseFile := files[len(files)-1]
 	base, err := parseFile(baseFile)
 	if err != nil {

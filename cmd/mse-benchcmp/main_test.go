@@ -3,9 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestParseFileReassemblesSplitLines mirrors what go test -json actually
@@ -112,5 +114,43 @@ func TestGateResultsMissingBaselineSkipped(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "no baseline entry; skipped") {
 		t.Fatalf("missing-baseline line not printed:\n%s", buf.String())
+	}
+}
+
+// TestSortBenchFilesIgnoresMtime gives every snapshot the same mtime, as
+// a fresh checkout does: the order must come from the date and numeric
+// suffix in the names alone.
+func TestSortBenchFilesIgnoresMtime(t *testing.T) {
+	dir := t.TempDir()
+	want := []string{
+		"BENCH_2026-08-06.json",
+		"BENCH_2026-08-06.2.json",
+		"BENCH_2026-08-08.json",
+		"BENCH_2026-08-08.2.json",
+		"BENCH_2026-08-08.3.json",
+		"BENCH_2026-08-08.10.json",
+		"BENCH_2026-09-01.json",
+	}
+	stamp := time.Date(2026, 9, 2, 0, 0, 0, 0, time.UTC)
+	for _, name := range want {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(path, stamp, stamp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortBenchFiles(files)
+	got := make([]string, len(files))
+	for i, f := range files {
+		got[i] = filepath.Base(f)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("order = %v\nwant    %v", got, want)
 	}
 }

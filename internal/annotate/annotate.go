@@ -107,14 +107,22 @@ func maybeURL(text string) bool {
 		!strings.ContainsAny(text, " \t\r\n\v\f")
 }
 
-// maybePrice: every priceRe alternative needs a currency marker.
+// maybePrice: every priceRe alternative needs a currency marker.  The
+// markers are searched one by one: ContainsAny over a set with non-ASCII
+// members decodes the text rune by rune, while IndexByte and Contains
+// scan bytes.
 func maybePrice(text string) bool {
-	return strings.ContainsAny(text, "$€£") || strings.Contains(text, "USD")
+	return strings.IndexByte(text, '$') >= 0 || strings.Contains(text, "€") ||
+		strings.Contains(text, "£") || strings.Contains(text, "USD")
 }
 
 // Record annotates one extracted record.
-func Record(rec core.Record) []Unit {
-	var units []Unit
+func Record(rec core.Record) []Unit { return AppendRecord(nil, rec) }
+
+// AppendRecord appends the units of one extracted record to units and
+// returns the extended slice, so a caller annotating many records can
+// reuse one slice.
+func AppendRecord(units []Unit, rec core.Record) []Unit {
 	titleSeen := false
 	for i, line := range rec.Lines {
 		text := strings.TrimSpace(line)
@@ -126,7 +134,7 @@ func Record(rec core.Record) []Unit {
 			units = append(units, Unit{Type: More, Text: text, Line: i})
 		case !titleSeen:
 			titleSeen = true
-			units = append(units, titleUnits(text, i)...)
+			units = appendTitleUnits(units, text, i)
 		case maybeURL(text) && urlRe.MatchString(text):
 			units = append(units, Unit{Type: DisplayURL, Text: text, Line: i})
 		case maybePrice(text) && priceRe.MatchString(text):
@@ -138,9 +146,8 @@ func Record(rec core.Record) []Unit {
 	return units
 }
 
-// titleUnits splits a title line into rank, title and date units.
-func titleUnits(text string, line int) []Unit {
-	var units []Unit
+// appendTitleUnits splits a title line into rank, title and date units.
+func appendTitleUnits(units []Unit, text string, line int) []Unit {
 	if text[0] >= '0' && text[0] <= '9' {
 		if m := rankRe.FindStringSubmatch(text); m != nil {
 			units = append(units, Unit{Type: Rank, Text: m[1], Line: line})

@@ -207,3 +207,42 @@ func TestAnnotateAgainstTestbed(t *testing.T) {
 	check("price", okPrice, checkedPrice)
 	check("rank", okRank, checkedRank)
 }
+
+// TestMaybePriceMatchesContainsAny pins the byte-scan prefilter to the
+// rune-set expression it replaced, including invalid UTF-8 around and
+// inside the multi-byte currency signs.
+func TestMaybePriceMatchesContainsAny(t *testing.T) {
+	old := func(text string) bool {
+		return strings.ContainsAny(text, "$€£") || strings.Contains(text, "USD")
+	}
+	cases := []string{
+		"a plain ascii snippet line",
+		"Price: $34.99",
+		"$",
+		"€12,50",
+		"only £5 today",
+		"USD 100",
+		"usd 100",
+		"US D",
+		"ab€",
+		"£",
+		"¥ 300 and ₩ 400",
+		"中文价格 €99 结果",
+		"検索結果 ドル",
+		"价格：USD19",
+		"\xe2\x82",         // truncated €
+		"\xc2",             // truncated £
+		"\xe2\xe2\x82\xac", // stray lead byte, then €
+		"\xff\xfe$",
+		"\x82\xac",
+		"\xc2\xc2\xa3",
+		"\xf0\xe2\x82\xac",
+		"\xa3 alone",
+		"",
+	}
+	for _, c := range cases {
+		if got, want := maybePrice(c), old(c); got != want {
+			t.Errorf("maybePrice(%q) = %v, ContainsAny form = %v", c, got, want)
+		}
+	}
+}

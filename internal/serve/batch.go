@@ -50,11 +50,6 @@ type batchItemResult struct {
 	Result     json.RawMessage `json:"result,omitempty"`
 }
 
-// batchResponse is the wire form of POST /extract/batch.
-type batchResponse struct {
-	Results []batchItemResult `json:"results"`
-}
-
 // decodeBatch accepts either {"items":[...]} or a bare JSON array.
 func decodeBatch(body []byte) ([]batchItem, error) {
 	trimmed := bytes.TrimLeft(body, " \t\r\n")
@@ -220,37 +215,23 @@ func (p *page) result() batchItemResult {
 // Result is an already-serialized /extract body; running the whole
 // response through the indenting encoder would re-tokenize every body byte
 // (the dominant cost of an all-hit batch), so the per-item metadata is
-// marshaled normally and the result bodies are spliced in verbatim.
+// appended by the response encoder's writers and the result bodies are
+// spliced in verbatim.
 func writeBatchResponse(w http.ResponseWriter, results []batchItemResult) {
-	var buf bytes.Buffer
 	grow := 32
 	for i := range results {
 		grow += len(results[i].Result) + 128
 	}
-	buf.Grow(grow)
-	buf.WriteString(`{"results":[`)
+	b := make([]byte, 0, grow)
+	b = append(b, `{"results":[`...)
 	for i := range results {
 		if i > 0 {
-			buf.WriteByte(',')
+			b = append(b, ',')
 		}
-		body := results[i].Result
-		results[i].Result = nil
-		meta, _ := json.Marshal(&results[i]) // cannot fail: fixed field types
-		results[i].Result = body
-		if len(body) == 0 {
-			buf.Write(meta)
-			continue
-		}
-		buf.Write(meta[:len(meta)-1]) // reopen the object brace
-		if len(meta) > 2 {
-			buf.WriteByte(',')
-		}
-		buf.WriteString(`"result":`)
-		buf.Write(bytes.TrimRight(body, "\n"))
-		buf.WriteByte('}')
+		b = appendBatchItem(b, &results[i])
 	}
-	buf.WriteString("]}\n")
+	b = append(b, "]}\n"...)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	w.Write(b)
 }

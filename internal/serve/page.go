@@ -195,11 +195,7 @@ func (r *Registry) extract(ctx context.Context, p *page) *pageError {
 		if extractTestHook != nil {
 			extractTestHook(p.name)
 		}
-		e, err := buildEntry(p.name, sections)
-		if err != nil {
-			r.countError(p.em)
-			return nil, err
-		}
+		e := buildEntry(p.name, sections)
 		p.em.served(e)
 		if e.Sections == 0 {
 			p.em.empty.Inc()

@@ -53,7 +53,6 @@ import (
 	"sync"
 	"time"
 
-	"mse/internal/annotate"
 	"mse/internal/core"
 	"mse/internal/excache"
 	"mse/internal/obs"
@@ -287,31 +286,6 @@ func (r *Registry) get(name string) (*engineEntry, bool) {
 	defer r.mu.RUnlock()
 	e, ok := r.wrappers[name]
 	return e, ok
-}
-
-// unitJSON is the wire form of one annotated data unit.
-type unitJSON struct {
-	Type string `json:"type"`
-	Text string `json:"text"`
-}
-
-// recordJSON is the wire form of one record.
-type recordJSON struct {
-	Lines []string   `json:"lines"`
-	Links []string   `json:"links,omitempty"`
-	Units []unitJSON `json:"units,omitempty"`
-}
-
-// sectionJSON is the wire form of one section.
-type sectionJSON struct {
-	Heading string       `json:"heading,omitempty"`
-	Records []recordJSON `json:"records"`
-}
-
-// extractResponse is the wire form of an /extract result.
-type extractResponse struct {
-	Engine   string        `json:"engine"`
-	Sections []sectionJSON `json:"sections"`
 }
 
 // Handler returns the HTTP handler serving the registry.  Every request
@@ -554,32 +528,6 @@ func (r *Registry) handleExtract(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	writeBody(w, http.StatusOK, p.entry.Body)
-}
-
-// buildEntry serializes sections into the exact bytes /extract writes
-// (indented JSON plus trailing newline), so cached and uncached responses
-// are byte-identical by construction.
-func buildEntry(name string, sections []*core.Section) (*excache.Entry, error) {
-	resp := extractResponse{Engine: name, Sections: make([]sectionJSON, 0, len(sections))}
-	records := 0
-	for _, s := range sections {
-		sj := sectionJSON{Heading: s.Heading, Records: make([]recordJSON, 0, len(s.Records))}
-		for _, rec := range s.Records {
-			rj := recordJSON{Lines: rec.Lines, Links: rec.Links}
-			for _, u := range annotate.Record(rec) {
-				rj.Units = append(rj.Units, unitJSON{Type: u.Type.String(), Text: u.Text})
-			}
-			sj.Records = append(sj.Records, rj)
-		}
-		records += len(s.Records)
-		resp.Sections = append(resp.Sections, sj)
-	}
-	body, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("serializing response: %w", err)
-	}
-	body = append(body, '\n')
-	return &excache.Entry{Body: body, Sections: len(sections), Records: records}, nil
 }
 
 // journalQuality copies an assessment onto a journal event.
