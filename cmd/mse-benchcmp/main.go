@@ -334,8 +334,9 @@ func parseBenchLine(line string) (string, *result, bool) {
 // MSE_BENCHGATE_NS=1.  With enforce non-nil, only benchmarks matching the
 // regex can fail the gate — the allowlist lets a -bench pattern pick up
 // newly added benchmarks (for the log) without older baselines that lack
-// them, or their different cost profile, tripping the gate.  Returns the
-// process exit code.
+// them, or their different cost profile, tripping the gate — and an
+// allowlisted benchmark the baseline lacks fails it.  Returns the process
+// exit code.
 func runGate(bench string, threshold float64, enforce *regexp.Regexp) int {
 	files, err := filepath.Glob("BENCH_*.json")
 	if err != nil || len(files) == 0 {
@@ -387,7 +388,15 @@ func gateResults(w io.Writer, base, fresh map[string]*result, threshold float64,
 		enforced := enforce == nil || enforce.MatchString(n)
 		o, ok := base[n]
 		if !ok {
-			fmt.Fprintf(w, "%-40s no baseline entry; skipped\n", n)
+			// A benchmark the allowlist names must be measured against
+			// something; one picked up only by -bench is new and has no
+			// baseline yet.
+			if enforce != nil && enforce.MatchString(n) {
+				fmt.Fprintf(w, "%-40s FAIL no baseline entry for an enforced benchmark\n", n)
+				failed = true
+			} else {
+				fmt.Fprintf(w, "%-40s no baseline entry; skipped\n", n)
+			}
 			continue
 		}
 		status := "ok"

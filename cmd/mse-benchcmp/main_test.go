@@ -154,3 +154,36 @@ func TestSortBenchFilesIgnoresMtime(t *testing.T) {
 		t.Fatalf("order = %v\nwant    %v", got, want)
 	}
 }
+
+// TestGateResultsTable covers each verdict of the gate: a missing
+// baseline entry fails only a benchmark the allowlist names, and only
+// allowlisted (or, with no allowlist, all) regressions fail.
+func TestGateResultsTable(t *testing.T) {
+	r := func(allocs float64) *result { return &result{runs: 1, nsOp: 1000, allocs: allocs, hasMem: true} }
+	allow := regexp.MustCompile(`^BenchmarkHot`)
+	cases := []struct {
+		name    string
+		base    map[string]*result
+		fresh   map[string]*result
+		enforce *regexp.Regexp
+		fail    bool
+		line    string
+	}{
+		{"allowlisted, no baseline", map[string]*result{}, map[string]*result{"BenchmarkHot": r(100)}, allow, true, "FAIL no baseline entry"},
+		{"outside allowlist, no baseline", map[string]*result{}, map[string]*result{"BenchmarkCold": r(100)}, allow, false, "no baseline entry; skipped"},
+		{"no allowlist, no baseline", map[string]*result{}, map[string]*result{"BenchmarkHot": r(100)}, nil, false, "no baseline entry; skipped"},
+		{"allowlisted, within threshold", map[string]*result{"BenchmarkHot": r(100)}, map[string]*result{"BenchmarkHot": r(110)}, allow, false, "ok"},
+		{"allowlisted, regressed", map[string]*result{"BenchmarkHot": r(100)}, map[string]*result{"BenchmarkHot": r(200)}, allow, true, "FAIL allocs/op regressed"},
+		{"outside allowlist, regressed", map[string]*result{"BenchmarkCold": r(100)}, map[string]*result{"BenchmarkCold": r(200)}, allow, false, "informational"},
+		{"no allowlist, regressed", map[string]*result{"BenchmarkCold": r(100)}, map[string]*result{"BenchmarkCold": r(200)}, nil, true, "FAIL allocs/op regressed"},
+	}
+	for _, c := range cases {
+		var buf strings.Builder
+		if got := gateResults(&buf, c.base, c.fresh, 0.15, c.enforce, false); got != c.fail {
+			t.Errorf("%s: gate failed = %v, want %v\n%s", c.name, got, c.fail, buf.String())
+		}
+		if !strings.Contains(buf.String(), c.line) {
+			t.Errorf("%s: output lacks %q:\n%s", c.name, c.line, buf.String())
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package annotate
 
 import (
+	"math/rand"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -244,5 +247,238 @@ func TestMaybePriceMatchesContainsAny(t *testing.T) {
 		if got, want := maybePrice(c), old(c); got != want {
 			t.Errorf("maybePrice(%q) = %v, ContainsAny form = %v", c, got, want)
 		}
+	}
+}
+
+// The regexps the byte scanners replaced, and the annotator built on
+// them with its prefilters, kept as the scanners' oracle.
+var (
+	rankRe  = regexp.MustCompile(`^(\d{1,3})\.\s+`)
+	dateRe  = regexp.MustCompile(`\(\d{1,2}/\d{1,2}/\d{4}\)`)
+	priceRe = regexp.MustCompile(`(?:USD\s?|\$|€|£)\d[\d,]*(?:\.\d{2})?`)
+	urlRe   = regexp.MustCompile(`^(?:https?://)?(?:www\.)?[\w.-]+\.[a-z]{2,}(?:/\S*)?$`)
+	moreRe  = regexp.MustCompile(`(?i)^more\b.*\.{3}\s*$|^click here for more`)
+)
+
+func maybeMoreReference(text string) bool {
+	switch text[0] {
+	case 'm', 'M', 'c', 'C':
+		return true
+	}
+	return false
+}
+
+func maybeURLReference(text string) bool {
+	return strings.IndexByte(text, '.') >= 0 &&
+		!strings.ContainsAny(text, " \t\r\n\v\f")
+}
+
+func appendRecordReference(units []Unit, rec core.Record) []Unit {
+	titleSeen := false
+	for i, line := range rec.Lines {
+		text := strings.TrimSpace(line)
+		if text == "" {
+			continue
+		}
+		switch {
+		case maybeMoreReference(text) && moreRe.MatchString(text):
+			units = append(units, Unit{Type: More, Text: text, Line: i})
+		case !titleSeen:
+			titleSeen = true
+			units = appendTitleUnitsReference(units, text, i)
+		case maybeURLReference(text) && urlRe.MatchString(text):
+			units = append(units, Unit{Type: DisplayURL, Text: text, Line: i})
+		case maybePrice(text) && priceRe.MatchString(text):
+			units = append(units, Unit{Type: Price, Text: priceRe.FindString(text), Line: i})
+		default:
+			units = append(units, Unit{Type: Snippet, Text: text, Line: i})
+		}
+	}
+	return units
+}
+
+func appendTitleUnitsReference(units []Unit, text string, line int) []Unit {
+	if text[0] >= '0' && text[0] <= '9' {
+		if m := rankRe.FindStringSubmatch(text); m != nil {
+			units = append(units, Unit{Type: Rank, Text: m[1], Line: line})
+			text = strings.TrimSpace(text[len(m[0]):])
+		}
+	}
+	if strings.IndexByte(text, '(') >= 0 {
+		if m := dateRe.FindString(text); m != "" {
+			units = append(units, Unit{Type: Date, Text: m, Line: line})
+			text = strings.TrimSpace(strings.Replace(text, m, "", 1))
+			text = strings.Join(strings.Fields(text), " ")
+		}
+	}
+	if text != "" {
+		units = append(units, Unit{Type: Title, Text: text, Line: line})
+	}
+	return units
+}
+
+// checkScanners holds each scanner to its regexp on one string.
+func checkScanners(t *testing.T, s string) {
+	t.Helper()
+	rank, n := rankPrefix(s)
+	if m := rankRe.FindStringSubmatch(s); m == nil {
+		if n != 0 {
+			t.Errorf("rankPrefix(%q) = %q, %d; regexp: no match", s, rank, n)
+		}
+	} else if rank != m[1] || n != len(m[0]) {
+		t.Errorf("rankPrefix(%q) = %q, %d; regexp: %q, %d", s, rank, n, m[1], len(m[0]))
+	}
+	if got, want := findDate(s), dateRe.FindString(s); got != want {
+		t.Errorf("findDate(%q) = %q; regexp: %q", s, got, want)
+	}
+	if got, want := findPrice(s), priceRe.FindString(s); got != want {
+		t.Errorf("findPrice(%q) = %q; regexp: %q", s, got, want)
+	}
+	if got, want := isURL(s), maybeURLReference(s) && urlRe.MatchString(s); got != want {
+		t.Errorf("isURL(%q) = %v; prefilter and regexp: %v", s, got, want)
+	}
+	if got, want := isMore(s), moreRe.MatchString(s); got != want {
+		t.Errorf("isMore(%q) = %v; regexp: %v", s, got, want)
+	}
+}
+
+// TestScannersMatchRegexps runs the scanners and their regexps over hand
+// picked corners and a seeded stream of strings built from the tokens the
+// patterns care about.
+func TestScannersMatchRegexps(t *testing.T) {
+	cases := []string{
+		"", "1", "1.", "1. ", "1.  x", "12. Title", "123.\tx", "1234. x", "1.x", "a1. x", "1.\vx", "1.\fx", "1.\u00a0x",
+		"(1/2/2003)", "x (10/21/2003) y", "(100/2/2003)", "(1/2/20033)", "(1/2/203)", "((1/2/2003)", "(1/2/2003", "(1//2003) (3/4/2005)",
+		"$5", "$", "$x5", "USD5", "USD 5", "USD  5", "USD\t5", "USD\v5", "USDx", "USD $5", "usd 5", "€12,50", "£3.5", "£3.50", "$1.234",
+		"$1,000,000.99 total", "ab€", "\xe2\x82\xac5", "\xe2\x82$7", "US$9", "UUSD9", "$,5", "$5,.", "$5.", "$5.1", "$5.12.34",
+		"www.site.example/doc/page.html", "site.com", "s.co", "s.c", ".com", "a..com", "x-y_z.info/", "http://a.com", "https://a.com/x?y",
+		"http://", "https:/a.com", "HTTP://a.com", "a.COM", "a.com/\vx", "a.com/\u00a0x", "a.com/\xff", "a.com x", "www.", "www.a.b", "a.com:80/x",
+		"a.b.c.de", "a.de.", "a.d", "a.com/", "-.ab", "_.ab", "a.com//x//", "a/b.com", "a.com\x00",
+		"more results ...", "More pyramid results ...", "MORE...", "more", "more...", "moreover ...", "more_ ...", "more1 ...",
+		"more x ...\t\n ", "more x\n...", "more ...\nx", "more \xff ...", "more ....", "more ..", "more é ...",
+		"click here for more", "Click Here For More results", "clic\u212a here for more", "clicK here for more", "click here for mor",
+		"click  here for more", "cliCK HERE FOR MORE!", "clic\u212a", "click", "more\u212a ...", "m", "c",
+	}
+	for _, c := range cases {
+		checkScanners(t, c)
+	}
+	tokens := []string{
+		"1", "2", "12", "123", "2003", "0", ".", "..", "...", " ", "\t", "\n", "\v", "\f", "\r", "/", "//", "(", ")", ",",
+		"$", "€", "£", "USD", "U", "SD", "\xe2", "\x82", "\xac", "\xc2", "\xa3", "\xff", "é", "\u212a", "\u00a0",
+		"a", "Z", "_", "-", "k", "x", "com", "www.", "http://", "https://", ":", "more", "MoRe", "click", "clic", " here for more",
+	}
+	rng := rand.New(rand.NewSource(1))
+	var b strings.Builder
+	for i := 0; i < 200000; i++ {
+		b.Reset()
+		for n := rng.Intn(8); n >= 0; n-- {
+			b.WriteString(tokens[rng.Intn(len(tokens))])
+		}
+		checkScanners(t, b.String())
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+// TestAppendRecordMatchesReference annotates every record the testbed's
+// engines extract from fresh and drifted pages, both ways.
+func TestAppendRecordMatchesReference(t *testing.T) {
+	bed := synth.GenerateTestbed(synth.DefaultConfig())
+	if testing.Short() {
+		bed = bed[:12]
+	}
+	opts := core.DefaultOptions()
+	seen := map[UnitType]int{}
+	records := 0
+	for ei, e := range bed {
+		var samples []*core.SamplePage
+		for q := 0; q < 5; q++ {
+			gp := e.Page(q)
+			samples = append(samples, &core.SamplePage{HTML: gp.HTML, Query: gp.Query})
+		}
+		ew, err := core.BuildWrapper(samples, opts)
+		if err != nil {
+			t.Fatalf("engine %d: %v", ei, err)
+		}
+		drifted := e.Drifted()
+		for q := 5; q < 8; q++ {
+			for _, gp := range []*synth.GenPage{e.Page(q), drifted.Page(q)} {
+				for _, sec := range ew.Extract(gp.HTML, gp.Query) {
+					for _, rec := range sec.Records {
+						got := AppendRecord(nil, rec)
+						want := appendRecordReference(nil, rec)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("engine %d page %d record %q:\ngot  %+v\nwant %+v", ei, q, rec.Lines, got, want)
+						}
+						for _, u := range got {
+							seen[u.Type]++
+						}
+						records++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d records from %d engines; units by type: %v", records, len(bed), seen)
+	for _, ty := range []UnitType{Title, Snippet, DisplayURL, Price, Date, Rank} {
+		if seen[ty] == 0 && !testing.Short() {
+			t.Errorf("no %v unit in the testbed: the comparison does not cover it", ty)
+		}
+	}
+}
+
+// FuzzAnnotateMatchesReference annotates arbitrary line slices both ways
+// and holds every scanner to its regexp on each line.  Lines are split on
+// 0x1e, so they may hold any other byte, newlines included.  Seeds live in
+// testdata/fuzz/FuzzAnnotateMatchesReference.
+//
+//	go test -run '^$' -fuzz '^FuzzAnnotateMatchesReference$' -fuzztime 10s ./internal/annotate
+func FuzzAnnotateMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data string) {
+		rec := core.Record{Lines: strings.Split(data, "\x1e")}
+		got := AppendRecord(nil, rec)
+		want := appendRecordReference(nil, rec)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("lines %q:\ngot  %+v\nwant %+v", rec.Lines, got, want)
+		}
+		for _, line := range rec.Lines {
+			checkScanners(t, line)
+			checkScanners(t, strings.TrimSpace(line))
+		}
+	})
+}
+
+// BenchmarkAnnotateRecord annotates the records 12 testbed engines
+// extract from one fresh page each, scanners against the regexp
+// reference; ns/op is per record.
+func BenchmarkAnnotateRecord(b *testing.B) {
+	var records []core.Record
+	for _, e := range synth.GenerateTestbed(synth.DefaultConfig())[:12] {
+		var samples []*core.SamplePage
+		for q := 0; q < 5; q++ {
+			gp := e.Page(q)
+			samples = append(samples, &core.SamplePage{HTML: gp.HTML, Query: gp.Query})
+		}
+		ew, err := core.BuildWrapper(samples, core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		gp := e.Page(5)
+		for _, sec := range ew.Extract(gp.HTML, gp.Query) {
+			records = append(records, sec.Records...)
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		annotate func([]Unit, core.Record) []Unit
+	}{{"scanner", AppendRecord}, {"reference", appendRecordReference}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var units []Unit
+			for i := 0; i < b.N; i++ {
+				units = c.annotate(units[:0], records[i%len(records)])
+			}
+		})
 	}
 }

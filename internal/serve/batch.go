@@ -10,7 +10,6 @@ package serve
 // unknown engine or oversized page fails that item, not the batch.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,21 +49,6 @@ type batchItemResult struct {
 	Result     json.RawMessage `json:"result,omitempty"`
 }
 
-// decodeBatch accepts either {"items":[...]} or a bare JSON array.
-func decodeBatch(body []byte) ([]batchItem, error) {
-	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var items []batchItem
-		err := json.Unmarshal(trimmed, &items)
-		return items, err
-	}
-	var wrapped struct {
-		Items []batchItem `json:"items"`
-	}
-	err := json.Unmarshal(body, &wrapped)
-	return wrapped.Items, err
-}
-
 func (r *Registry) handleExtractBatch(w http.ResponseWriter, req *http.Request) {
 	defaultEngine := req.URL.Query().Get("engine")
 	if req.Method != http.MethodPost {
@@ -72,7 +56,8 @@ func (r *Registry) handleExtractBatch(w http.ResponseWriter, req *http.Request) 
 		writeError(w, http.StatusMethodNotAllowed, defaultEngine, "POST required")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, MaxBatchBytes+1))
+	buf, err := readBody(req, MaxBatchBytes)
+	defer putBody(buf)
 	if err != nil {
 		if req.Context().Err() != nil || errors.Is(err, io.ErrUnexpectedEOF) {
 			r.metrics.canceled.Inc()
@@ -83,13 +68,13 @@ func (r *Registry) handleExtractBatch(w http.ResponseWriter, req *http.Request) 
 		writeError(w, http.StatusBadRequest, defaultEngine, "reading body: "+err.Error())
 		return
 	}
-	if len(body) > MaxBatchBytes {
+	if buf.Len() > MaxBatchBytes {
 		r.metrics.errors.Inc()
 		writeError(w, http.StatusRequestEntityTooLarge, defaultEngine,
 			fmt.Sprintf("batch exceeds %d bytes", MaxBatchBytes))
 		return
 	}
-	items, err := decodeBatch(body)
+	items, err := decodeBatch(buf.Bytes())
 	if err != nil {
 		r.metrics.errors.Inc()
 		writeError(w, http.StatusBadRequest, defaultEngine, "decoding batch: "+err.Error())

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -222,38 +221,6 @@ func fuzzSections(heading, lines, links string, shape byte) []*core.Section {
 func FuzzEncodeEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, engine, heading, lines, links string, shape byte) {
 		checkEncoding(t, "fuzz", engine, fuzzSections(heading, lines, links, shape))
-	})
-}
-
-// FuzzDecodeBatch feeds arbitrary bodies to the batch decoder: it must
-// return items or an error, never panic, and whatever it decodes must
-// survive a json.Marshal round trip in both accepted forms.  Seeds live in
-// testdata/fuzz/FuzzDecodeBatch.
-//
-//	go test -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 10s ./internal/serve
-func FuzzDecodeBatch(f *testing.F) {
-	f.Fuzz(func(t *testing.T, body []byte) {
-		items, err := decodeBatch(body)
-		if err != nil {
-			return
-		}
-		bare, err := json.Marshal(items)
-		if err != nil {
-			t.Fatalf("marshal bare array: %v", err)
-		}
-		wrapped, err := json.Marshal(map[string]any{"items": items})
-		if err != nil {
-			t.Fatalf("marshal wrapped form: %v", err)
-		}
-		for _, enc := range [][]byte{bare, wrapped} {
-			got, err := decodeBatch(enc)
-			if err != nil {
-				t.Fatalf("re-decoding %q: %v", enc, err)
-			}
-			if !reflect.DeepEqual(got, items) {
-				t.Fatalf("round trip through %q\ngot  %#v\nwant %#v", enc, got, items)
-			}
-		}
 	})
 }
 

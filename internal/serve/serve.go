@@ -498,10 +498,9 @@ func (r *Registry) handleExtract(w http.ResponseWriter, req *http.Request) {
 	}
 	defer r.release()
 
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bodyPool.Put(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(req.Body, MaxPageBytes+1)); err != nil {
+	buf, err := readBody(req, MaxPageBytes)
+	defer putBody(buf)
+	if err != nil {
 		// Distinguish a vanished client from a malformed request: only the
 		// latter is an engine-attributed error.  A dead request context (or
 		// a body cut off mid-chunk) means the client hung up on us.
@@ -552,8 +551,37 @@ func stageTimings(root *obs.Span) map[string]float64 {
 	return out
 }
 
-// bodyPool recycles the request-body read buffers of /extract.
+// maxPooledBody caps the buffers the request pools keep: a larger one (an
+// 8 MiB page, a 64 MiB batch) goes to the garbage collector instead of
+// staying pinned in the pool.
+const maxPooledBody = 1 << 20
+
+// bodyPool recycles the request-body read buffers of /extract and
+// /extract/batch.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads at most limit+1 bytes of req's body into a pooled buffer,
+// which the caller hands back with putBody.  A declared Content-Length
+// pre-sizes the buffer, but only up to maxPooledBody: the header is the
+// client's claim, not bytes received.  The extra bytes.MinRead let the
+// final probe for EOF fit without regrowing.
+func readBody(req *http.Request, limit int64) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := req.ContentLength; n > 0 {
+		buf.Grow(int(min(min(n, limit+1)+bytes.MinRead, maxPooledBody)))
+	}
+	_, err := buf.ReadFrom(io.LimitReader(req.Body, limit+1))
+	return buf, err
+}
+
+// putBody returns a read buffer to bodyPool unless it outgrew
+// maxPooledBody.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
 
 // writeBody writes a pre-serialized JSON response body (a cache entry).
 func writeBody(w http.ResponseWriter, status int, body []byte) {

@@ -24,7 +24,7 @@ var testWrapper = struct {
 	err    error
 }{}
 
-func testRegistry(t *testing.T) (*Registry, *synth.Engine) {
+func testRegistry(t testing.TB) (*Registry, *synth.Engine) {
 	t.Helper()
 	testWrapper.once.Do(func() {
 		e := synth.NewEngine(55, 3, true)
